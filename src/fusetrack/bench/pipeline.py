@@ -119,7 +119,6 @@ class TrackData:
     landmarks: list
     activity: list = None
     steps: list = None
-    floor_events: list = None
     trajectory: TrackTrajectory | None = None
     samples: list = None
 
@@ -134,18 +133,18 @@ class PipelineResult:
     out_dir: Path
 
 
-def _load_track(path, stage: str) -> TrackData:
-    records, scans, landmarks = parse_logfile(path)
-    stream = resample_stream(records)
+def load_track(path) -> TrackData:
+    """Parse and resample one logfile, with yaw and magnitude channels added."""
+    sensor_log, scans, landmarks = parse_logfile(path)
+    stream = resample_stream(sensor_log)
     stream = magnitude_channels(ensure_yaw(stream))
     return TrackData(Path(path).stem, stream, scans, landmarks)
 
 
-def _label_track(track: TrackData, stride: int) -> None:
+def label_track(track: TrackData, stride: int) -> None:
+    """Detect activity and steps; pseudo-label windows if there are landmarks."""
     track.activity = detect_activity(track.stream)
     track.steps = detect_steps(track.stream, track.activity)
-    track.floor_events = (detect_floor_changes(track.stream)
-                          if track.stream.has_channel("pressure") else [])
     if len(track.landmarks) >= 2:
         track.trajectory = TrackTrajectory(track.landmarks, track.steps, track.activity)
         windows = make_windows(track.stream, stride=stride, source_track=track.name)
@@ -171,12 +170,12 @@ def run_pipeline(config) -> PipelineResult:
 
     stage = "ingest"
     try:
-        train_tracks = [_load_track(p, stage) for p in config.train_logs]
-        test_tracks = [_load_track(p, stage) for p in config.test_logs]
+        train_tracks = [load_track(p) for p in config.train_logs]
+        test_tracks = [load_track(p) for p in config.test_logs]
 
         stage = "labels"
         for track in train_tracks:
-            _label_track(track, config.train_stride)
+            label_track(track, config.train_stride)
             if config.save_dataset_cache and track.samples:
                 save_dataset(track.samples,
                              out_dir / f"{track.name}_windows.bin",

@@ -20,17 +20,11 @@ from .bench import (
     run_pipeline,
     simulate_track,
 )
-from .errors import FusetrackError, ValidationError
-from .features import RAW, RP, magnitude_channels, make_windows
+from .bench.pipeline import TrackData, label_track, load_track
+from .errors import FusetrackError, PipelineError, ValidationError
+from .features import RAW, RP, magnitude_channels
 from .ingest import parse_logfile, resample_stream
-from .labels import (
-    TrackTrajectory,
-    detect_activity,
-    detect_steps,
-    ensure_yaw,
-    generate_pseudo_labels,
-    save_dataset,
-)
+from .labels import save_dataset
 from .pdr import (
     INFER_STRIDE,
     TRAIN_STRIDE,
@@ -46,21 +40,11 @@ from .wifi import RadioMap, VaeConfig, build_radiomap, train_vae
 log = logging.getLogger(__name__)
 
 
-def _load_labeled_tracks(paths, stride):
+def _load_labeled_tracks(paths, stride) -> list[TrackData]:
     """Parse, resample and pseudo-label a set of training logs."""
-    tracks = []
-    for path in paths:
-        records, scans, landmarks = parse_logfile(path)
-        stream = magnitude_channels(ensure_yaw(resample_stream(records)))
-        activity = detect_activity(stream)
-        steps = detect_steps(stream, activity)
-        samples = []
-        trajectory = None
-        if len(landmarks) >= 2:
-            windows = make_windows(stream, stride=stride, source_track=Path(path).stem)
-            samples = generate_pseudo_labels(stream, landmarks, steps, activity, windows)
-            trajectory = TrackTrajectory(landmarks, steps, activity)
-        tracks.append((Path(path).stem, stream, scans, landmarks, samples, trajectory))
+    tracks = [load_track(path) for path in paths]
+    for track in tracks:
+        label_track(track, stride)
     return tracks
 
 
@@ -77,25 +61,25 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_parse(args) -> int:
-    records, scans, landmarks = parse_logfile(args.log)
-    stream = resample_stream(records, rate=args.rate)
+    sensor_log, scans, landmarks = parse_logfile(args.log)
+    stream = resample_stream(sensor_log, rate=args.rate)
     if args.magnitudes:
         stream = magnitude_channels(stream)
     stream.to_csv(args.out)
-    print(f"{len(records)} records, {len(scans)} wifi scans, "
+    print(f"{len(sensor_log)} records, {len(scans)} wifi scans, "
           f"{len(landmarks)} landmarks -> {args.out}")
     return 0
 
 
 def cmd_pseudolabel(args) -> int:
-    tracks = _load_labeled_tracks([args.log], args.stride)
-    _, _, _, landmarks, samples, _ = tracks[0]
-    if not samples:
-        raise ValidationError(f"{args.log} has {len(landmarks)} landmarks; need >= 2")
+    [track] = _load_labeled_tracks([args.log], args.stride)
+    if not track.samples:
+        raise ValidationError(
+            f"{args.log} has {len(track.landmarks)} landmarks; need >= 2")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_dataset(samples, out / "windows.bin", out / "index.csv")
-    print(f"{len(samples)} labeled windows -> {out}")
+    save_dataset(track.samples, out / "windows.bin", out / "index.csv")
+    print(f"{len(track.samples)} labeled windows -> {out}")
     return 0
 
 
@@ -106,12 +90,13 @@ def cmd_train_pdr(args) -> int:
         batch_size=args.batch_size,
     )
     tracks = _load_labeled_tracks(args.logs, TRAIN_STRIDE)
-    labeled = [t for t in tracks if t[4]]
+    labeled = [t for t in tracks if t.samples]
     if not labeled:
         raise ValidationError("no input log has enough landmarks to train on")
     n_val = max(1, len(labeled) // 5) if len(labeled) > 1 else 0
-    val = [s for t in labeled[len(labeled) - n_val:] for s in t[4]] if n_val else None
-    fit = [s for t in labeled[:len(labeled) - n_val] for s in t[4]]
+    val = ([s for t in labeled[len(labeled) - n_val:] for s in t.samples]
+           if n_val else None)
+    fit = [s for t in labeled[:len(labeled) - n_val] for s in t.samples]
     if not val:
         val = fit
     model = build_model(cfg)
@@ -126,8 +111,8 @@ def cmd_train_pdr(args) -> int:
 
 def cmd_build_radiomap(args) -> int:
     tracks = _load_labeled_tracks(args.logs, TRAIN_STRIDE)
-    scans_by_track = {t[0]: t[2] for t in tracks}
-    trajectories = {t[0]: t[5] for t in tracks if t[5] is not None}
+    scans_by_track = {t.name: t.scans for t in tracks}
+    trajectories = {t.name: t.trajectory for t in tracks if t.trajectory is not None}
     radiomap = build_radiomap(scans_by_track, trajectories)
     radiomap.to_csv(args.out)
     print(f"{len(radiomap.fingerprints)} fingerprints over "
@@ -154,8 +139,7 @@ def cmd_train_wifi(args) -> int:
 
 def cmd_predict(args) -> int:
     model = PdrModel.load(args.model)
-    records, _, _ = parse_logfile(args.log)
-    stream = magnitude_channels(ensure_yaw(resample_stream(records)))
+    stream = load_track(args.log).stream
     preds = predict_displacements(model, stream, stride=args.stride)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("t,dx,dy,p_walk\n")
@@ -272,6 +256,12 @@ def main(argv=None) -> int:
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except PipelineError as exc:
+        if isinstance(exc.cause, (ValidationError, OSError)):
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
     except FusetrackError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

@@ -94,7 +94,11 @@ class CacheError(FusetrackError):
 
 
 class PipelineError(FusetrackError):
-    """A pipeline stage failed; names the stage and keeps the cause."""
+    """A pipeline stage failed; names the stage and keeps the cause.
+
+    The CLI exits 2 for it when the cause is a :class:`ValidationError` or an
+    ``OSError``, since the input was at fault, and 1 otherwise.
+    """
 
     def __init__(self, stage: str, cause: BaseException):
         super().__init__(f"stage '{stage}' failed: {cause}")

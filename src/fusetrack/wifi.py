@@ -23,7 +23,7 @@ from .errors import (
     InsufficientDataError,
     ValidationError,
 )
-from .ingest import WifiScan
+from .ingest import RSS_FLOOR_DBM, WifiScan
 from .labels import TrackTrajectory
 from .neuralcore import (
     Adam,
@@ -37,17 +37,14 @@ from .neuralcore import (
 
 log = logging.getLogger(__name__)
 
-#: dense-vector sentinel for access points absent from a scan, dBm
-RSS_SENTINEL = -110.0
-
 
 def normalize_rss(rss: np.ndarray) -> np.ndarray:
     """Map dBm in [-110, 0] onto [0, 1]."""
-    return (np.asarray(rss, dtype=float) - RSS_SENTINEL) / (-RSS_SENTINEL)
+    return (np.asarray(rss, dtype=float) - RSS_FLOOR_DBM) / (-RSS_FLOOR_DBM)
 
 
 def denormalize_rss(unit: np.ndarray) -> np.ndarray:
-    return np.asarray(unit, dtype=float) * (-RSS_SENTINEL) + RSS_SENTINEL
+    return np.asarray(unit, dtype=float) * (-RSS_FLOOR_DBM) + RSS_FLOOR_DBM
 
 
 @dataclass
@@ -122,16 +119,16 @@ class RadioMap:
 
 
 def vectorize_scan(scan: WifiScan, ap_ids: list[str]) -> np.ndarray:
-    """Dense RSS vector over the dictionary; unseen APs get the sentinel.
+    """Dense RSS vector over the dictionary; unseen APs get ``RSS_FLOOR_DBM``.
 
     APs in the scan that are not in the dictionary are ignored.
     """
     index = {ap: i for i, ap in enumerate(ap_ids)}
-    vec = np.full(len(ap_ids), RSS_SENTINEL)
+    vec = np.full(len(ap_ids), RSS_FLOOR_DBM)
     for ap, rss in scan.readings.items():
         i = index.get(ap)
         if i is not None:
-            vec[i] = min(0.0, max(RSS_SENTINEL, rss))
+            vec[i] = min(0.0, max(RSS_FLOOR_DBM, rss))
     return vec
 
 
@@ -434,7 +431,7 @@ def vae_predict(model: WifiVae, scan: WifiScan, ap_ids: list[str]) -> PositionFi
             f"model expects {model.n_aps} APs, dictionary has {len(ap_ids)}"
         )
     vec = vectorize_scan(scan, ap_ids)
-    empty = bool(np.all(vec == RSS_SENTINEL))
+    empty = bool(np.all(vec == RSS_FLOOR_DBM))
     pos = model.predict_unit(normalize_rss(vec)[None, :])[0]
     sigma = model.sigma_cal * (3.0 if empty else 1.0)
     return PositionFix(pos, float(sigma), low_confidence=empty)

@@ -1,5 +1,7 @@
 """Ingestion tests: parsing, scan grouping, resampling, slicing, round-trips."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from fusetrack.errors import (
 from fusetrack.ingest import (
     ACCE,
     POSI,
-    RawRecord,
+    SensorLog,
     SensorStream,
     group_wifi_scans,
     parse_logfile,
@@ -21,6 +23,19 @@ from fusetrack.ingest import (
     slice_stream,
     write_logfile,
 )
+
+
+class RawRecord(NamedTuple):
+    """One log record, in the tuple layout ``SensorLog.from_records`` takes."""
+
+    kind: str
+    app_timestamp: float
+    sensor_timestamp: float
+    payload: tuple
+
+
+def resample(records, rate=50.0):
+    return resample_stream(SensorLog.from_records(records), rate=rate)
 
 
 def make_log(tmp_path, text, name="track.log"):
@@ -32,18 +47,18 @@ def make_log(tmp_path, text, name="track.log"):
 class TestParseLogfile:
     def test_acce_line_maps_fields_directly(self, tmp_path):
         path = make_log(tmp_path, "ACCE;12.480;12.478;0.12;9.76;0.33\n")
-        records, _, _ = parse_logfile(path)
-        assert len(records) == 1
-        rec = records[0]
-        assert rec.kind == ACCE
-        assert rec.app_timestamp == 12.480
-        assert rec.sensor_timestamp == 12.478
-        assert rec.payload == (0.12, 9.76, 0.33)
+        sensor_log, _, _ = parse_logfile(path)
+        assert len(sensor_log) == 1
+        assert list(sensor_log.kinds) == [ACCE]
+        acce = sensor_log.kinds[ACCE]
+        assert acce.app_ts.tolist() == [12.480]
+        assert acce.sensor_ts.tolist() == [12.478]
+        assert acce.values.tolist() == [[0.12, 9.76, 0.33]]
 
     def test_posi_line_becomes_landmark(self, tmp_path):
         path = make_log(tmp_path, "POSI;30.0;1;10.5;-3.2;2\n")
-        records, _, landmarks = parse_logfile(path)
-        assert records[0].kind == POSI
+        sensor_log, _, landmarks = parse_logfile(path)
+        assert list(sensor_log.kinds) == [POSI]
         assert len(landmarks) == 1
         lm = landmarks[0]
         assert (lm.timestamp, lm.x, lm.y, lm.floor) == (30.0, 10.5, -3.2, 2)
@@ -103,9 +118,12 @@ class TestParseLogfile:
             parse_logfile(tmp_path / "nope.log")
 
     def test_records_sorted_by_app_timestamp(self, tmp_path):
-        path = make_log(tmp_path, "ACCE;2.0;2;0;0;9.8\nACCE;1.0;1;0;0;9.8\n")
-        records, _, _ = parse_logfile(path)
-        assert [r.app_timestamp for r in records] == [1.0, 2.0]
+        path = make_log(tmp_path, "ACCE;2.0;2;0;0;9.8\nACCE;1.0;1;0;0;9.7\n")
+        sensor_log, _, _ = parse_logfile(path)
+        acce = sensor_log.kinds[ACCE]
+        assert acce.app_ts.tolist() == [1.0, 2.0]
+        assert acce.sensor_ts.tolist() == [1.0, 2.0]
+        assert acce.values[:, 2].tolist() == [9.7, 9.8]
 
     def test_rss_clamped_into_range(self, tmp_path):
         path = make_log(tmp_path, "WIFI;1.0;1;a1;-130\nWIFI;1.1;1;a2;5\n")
@@ -143,12 +161,12 @@ def imu_records(ts, acce=None, gyro=None, magn=None):
 class TestResample:
     def test_linear_interpolation_example(self):
         recs = imu_records([0.0, 1.0], acce=[(0.0, 0, 0), (1.0, 0, 0)])
-        stream = resample_stream(recs, rate=2.0)
+        stream = resample(recs, rate=2.0)
         np.testing.assert_allclose(stream.channel("acce_x"), [0.0, 0.5, 1.0])
 
     def test_constant_channel_preserved(self):
         recs = imu_records(np.linspace(0, 3, 7))
-        stream = resample_stream(recs, rate=50.0)
+        stream = resample(recs)
         np.testing.assert_array_equal(stream.channel("acce_z"),
                                       np.full(stream.length, 9.81))
 
@@ -156,36 +174,36 @@ class TestResample:
         recs = imu_records(np.linspace(0, 10, 21))
         # pressure only available on [1, 9]
         recs += [RawRecord("PRES", t, t, (1013.0,)) for t in np.linspace(1, 9, 9)]
-        stream = resample_stream(recs, rate=50.0)
+        stream = resample(recs)
         assert stream.t0 == pytest.approx(1.0)
         assert stream.times()[-1] == pytest.approx(9.0)
 
     def test_missing_channel_named(self):
         recs = [RawRecord("ACCE", t, t, (0, 0, 9.8)) for t in (0.0, 1.0)]
         with pytest.raises(MissingChannelError, match="gyro_x"):
-            resample_stream(recs)
+            resample(recs)
 
     def test_single_sample_channel_rejected(self):
         recs = imu_records([0.0, 1.0]) + [RawRecord("PRES", 0.5, 0.5, (1013.0,))]
         with pytest.raises(AlignmentError, match="pressure"):
-            resample_stream(recs)
+            resample(recs)
 
     def test_no_overlap_is_alignment_error(self):
         recs = imu_records([0.0, 1.0])
         recs += [RawRecord("PRES", t, t, (1013.0,)) for t in (5.0, 6.0)]
         with pytest.raises(AlignmentError):
-            resample_stream(recs)
+            resample(recs)
 
     def test_resampling_idempotent(self):
         rng = np.random.default_rng(7)
         ts = np.arange(0, 4, 0.02)
         recs = imu_records(ts, acce=rng.normal(0, 1, (len(ts), 3)))
-        stream = resample_stream(recs, rate=50.0)
+        stream = resample(recs)
         recs2 = imu_records(stream.times(),
                             acce=np.column_stack([stream.channel("acce_x"),
                                                   stream.channel("acce_y"),
                                                   stream.channel("acce_z")]))
-        stream2 = resample_stream(recs2, rate=50.0)
+        stream2 = resample(recs2)
         assert stream2.length == stream.length
         for name in ("acce_x", "acce_y", "acce_z"):
             np.testing.assert_allclose(stream2.channel(name),
@@ -195,7 +213,7 @@ class TestResample:
         recs = imu_records([0.0, 1.0])
         recs += [RawRecord("AHRS", 0.0, 0, (3.1, 0, 0)),
                  RawRecord("AHRS", 1.0, 1, (-3.1, 0, 0))]
-        stream = resample_stream(recs, rate=4.0)
+        stream = resample(recs, rate=4.0)
         yaw = stream.channel("yaw")
         # interpolation must go the short way around, through pi
         assert yaw.max() < 3.3
@@ -244,7 +262,7 @@ class TestWifiScanProperties:
                     records.append(RawRecord("WIFI", t, t, (ap, -60.0)))
                     t += float(rng.uniform(0, 0.4))
                 t += float(rng.uniform(0.6, 5.0))
-            scans = group_wifi_scans(records)
+            scans = group_wifi_scans(SensorLog.from_records(records))
             assert len(scans) <= n_bursts
             for scan in scans:
                 assert len(scan.readings) == len(set(scan.readings))
@@ -254,7 +272,7 @@ class TestWifiScanProperties:
 class TestCsvExport:
     def test_csv_header_and_rows(self, tmp_path):
         recs = imu_records(np.linspace(0, 1, 3))
-        stream = resample_stream(recs, rate=50.0)
+        stream = resample(recs)
         out = tmp_path / "stream.csv"
         stream.to_csv(out)
         lines = out.read_text().splitlines()

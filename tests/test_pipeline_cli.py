@@ -251,3 +251,32 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
         assert cli.main(["run", "--config", str(bad)]) == 2
+
+    def test_malformed_log_in_run_exits_2(self, tmp_path, capsys):
+        log = tmp_path / "bad.log"
+        log.write_text("ACCE;1.0;1.0;0;zz;9.8\n", encoding="utf-8")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train_logs": [str(log)], "test_logs": [str(log)],
+                                   "out_dir": str(tmp_path / "out")}),
+                       encoding="utf-8")
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: stage 'ingest' failed: line 1: malformed value 2")
+
+    def test_missing_log_in_run_exits_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train_logs": [str(tmp_path / "nope.log")],
+                                   "test_logs": [str(tmp_path / "nope.log")],
+                                   "out_dir": str(tmp_path / "out")}),
+                       encoding="utf-8")
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+
+    def test_internal_fault_in_run_exits_1(self, tmp_path, monkeypatch, capsys):
+        def fail(cfg):
+            raise PipelineError("fuse", RuntimeError("boom"))
+        monkeypatch.setattr(cli, "run_pipeline", fail)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train_logs": ["a.log"], "test_logs": ["b.log"]}),
+                       encoding="utf-8")
+        assert cli.main(["run", "--config", str(cfg)]) == 1
+        assert "internal error: stage 'fuse' failed: boom" in capsys.readouterr().err

@@ -13,11 +13,10 @@ from fusetrack.errors import (
     EmptyMapError,
     InsufficientDataError,
 )
-from fusetrack.ingest import Landmark, WifiScan
+from fusetrack.ingest import RSS_FLOOR_DBM, Landmark, WifiScan
 from fusetrack.labels import ActivitySegment, TrackTrajectory, WALKING
 from fusetrack.wifi import (
     Fingerprint,
-    RSS_SENTINEL,
     RadioMap,
     VaeConfig,
     build_radiomap,
@@ -71,7 +70,7 @@ class TestBuildRadiomap:
     def test_sentinel_fill(self):
         scans = {"a": [WifiScan(1.0, {"ap1": -50.0}), WifiScan(6.0, {"ap2": -60.0})]}
         rmap = build_radiomap(scans, {})
-        np.testing.assert_array_equal(rmap.fingerprints[0].rss, [-50.0, RSS_SENTINEL])
+        np.testing.assert_array_equal(rmap.fingerprints[0].rss, [-50.0, RSS_FLOOR_DBM])
 
     def test_csv_roundtrip(self, tmp_path):
         scans = {"a": [WifiScan(5.0, {"ap1": -50.0, "ap2": -61.5}),
@@ -214,7 +213,7 @@ def synthetic_radiomap(n=200, n_aps=12, labeled_fraction=1.0, seed=0,
 
 def scan_from(fp_row, ap_ids):
     return WifiScan(0.0, {a: float(v) for a, v in zip(ap_ids, fp_row)
-                          if v > RSS_SENTINEL})
+                          if v > RSS_FLOOR_DBM})
 
 
 class TestVae:
