@@ -271,11 +271,16 @@ def parse_logfile(path) -> tuple[SensorLog, list[WifiScan], list[Landmark]]:
     Returns the records as per-kind columns sorted by app timestamp, WiFi
     lines grouped into scan bursts, and POSI lines as landmarks. Unknown kinds
     are skipped with one counted warning. Raises ``OSError`` if the file
-    cannot be read, :class:`LogParseError` naming the first malformed line,
-    and :class:`EmptyInputError` if no valid record was found.
+    cannot be read, :class:`LogParseError` naming the first malformed line
+    (a POSI floor that is not finite is malformed) or a file that is not
+    UTF-8, and :class:`EmptyInputError` if no valid record was found.
     """
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start:exc.end]
+        raise LogParseError(f"{path} is not valid UTF-8: {exc.reason} {bad!r}") from None
     try:
         sensor_log, skipped = _parse_by_column(text)
     except ValueError:
@@ -336,6 +341,8 @@ def _parse_by_column(text: str) -> tuple[SensorLog, Counter]:
             app_ts = table[:, 0]
             if not (np.isfinite(app_ts).all() and (app_ts >= 0).all()):
                 raise ValueError("app_timestamp must be finite and non-negative")
+            if kind == POSI and not np.isfinite(table[:, 4]).all():
+                raise ValueError("POSI floor must be finite")
         tables[kind] = (table, ap_ids, line_nos)
     return _assemble(tables), skipped
 
@@ -378,9 +385,12 @@ def _parse_fields(kind: str, parts: list[str], line_no: int | None) -> tuple:
             raise LogParseError("empty access point id", line_no)
         rss = _parse_float(parts[4], "rss", line_no)
         return app_ts, sensor_ts, (ap_id, rss)
-    return app_ts, sensor_ts, tuple(
+    values = tuple(
         _parse_float(p, f"value {i + 1}", line_no) for i, p in enumerate(parts[3:])
     )
+    if kind == POSI and not math.isfinite(values[2]):
+        raise LogParseError(f"POSI floor must be finite, got {parts[5]}", line_no)
+    return app_ts, sensor_ts, values
 
 
 def _parse_float(text: str, what: str, line_no: int | None) -> float:

@@ -27,7 +27,7 @@ from .losses import (
     total_loss,
 )
 from .network import Network
-from .optim import Adam, clip_gradient_norm, zero_grads
+from .optim import Adam, clip_gradient_norm
 
 __all__ = [
     "Adam",
@@ -53,5 +53,4 @@ __all__ = [
     "layer_from_spec",
     "softmax",
     "total_loss",
-    "zero_grads",
 ]

@@ -5,6 +5,27 @@ same contract: ``forward(x, training, rng) -> (y, ctx)`` and
 ``backward(dy, ctx) -> dx``, with parameter gradients accumulated into
 ``Param.grad``. Backward passes are exact reverse-mode derivatives of the
 forward code, verified against central finite differences.
+
+What ``ctx`` holds. ``Conv2D`` keeps its input and, in training mode only,
+its im2col matrix, which backward reuses; an eval-mode ctx keeps no im2col
+matrix (validation and inference batches are large), and backward rebuilds
+it. ``MaxPool2x2`` keeps the flat index of each chosen element. ``Conv2D``
+returns a C-contiguous (N, F, OH, OW) array, so the relu and pooling after it
+run on unit strides.
+
+Bit-exactness. Training must be reproducible bit for bit across refactors,
+since a last-bit change retrains a different network. ``Conv2D``'s three
+GEMMs therefore take exactly the operands ``np.tensordot`` builds: the
+C-contiguous (N·OH·OW, C·kh·kw) im2col matrix with columns in (c, p, q)
+order, the weights as ``w.transpose(1, 2, 3, 0).reshape(K, F)`` and
+``w.reshape(F, K)``, and ``dy.transpose(1, 0, 2, 3).reshape(F, M)`` and
+``dy.transpose(0, 2, 3, 1).reshape(M, F)`` with M = N·OH·OW. The bias
+gradient is ``dy.sum(axis=(0, 2, 3))`` over the ``dy`` it is given, and
+col2im sums each input element over its kernel offsets in row-major order,
+starting from +0.0. A different orientation, layout or order changes the
+last bits.
+``tests/test_layers_exact.py`` checks all of this against the former
+implementations.
 """
 
 from __future__ import annotations
@@ -38,6 +59,8 @@ def fan_in_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 class Layer:
     kind = "?"
+    #: whether the constructor takes an ``rng`` for its initial weights
+    random_init = False
 
     def params(self) -> list[Param]:
         return []
@@ -59,6 +82,7 @@ class Conv2D(Layer):
     """Valid 2D convolution (stride 1) over (N, C, H, W) input."""
 
     kind = "conv2d"
+    random_init = True
 
     def __init__(self, in_channels: int, filters: int, kh: int, kw: int,
                  rng: np.random.Generator):
@@ -86,12 +110,19 @@ class Conv2D(Layer):
         return (self.filters, h - self.kh + 1, w - self.kw + 1)
 
     def _cols(self, x: np.ndarray) -> np.ndarray:
+        """The C-contiguous (N·OH·OW, C·kh·kw) im2col matrix of a C-contiguous
+        ``x``: rows in (n, oh, ow) order, columns in (c, p, q) order, the
+        operand ``np.tensordot`` builds from the window view."""
         n, c, h, w = x.shape
         oh, ow = h - self.kh + 1, w - self.kw + 1
-        s = x.strides
-        shape = (n, c, self.kh, self.kw, oh, ow)
-        strides = (s[0], s[1], s[2], s[3], s[2], s[3])
-        return np.lib.stride_tricks.as_strided(x, shape, strides, writeable=False)
+        # gathered through flat offsets into one sample; copying the window
+        # view directly runs kw-long inner loops
+        plane = np.arange(c * h * w).reshape(c, h, w)
+        s = plane.strides
+        offsets = np.lib.stride_tricks.as_strided(
+            plane, (oh, ow, c, self.kh, self.kw), (s[1], s[2], s[0], s[1], s[2]),
+            writeable=False).reshape(oh * ow, -1)
+        return np.take(x.reshape(n, -1), offsets, axis=1).reshape(n * oh * ow, -1)
 
     def forward(self, x, training=False, rng=None):
         x = np.ascontiguousarray(x, dtype=np.float64)
@@ -99,32 +130,45 @@ class Conv2D(Layer):
             raise ShapeError(f"conv2d expects (N,{self.in_channels},H,W), got {x.shape}")
         if x.shape[2] < self.kh or x.shape[3] < self.kw:
             raise ShapeError(f"conv2d kernel {self.kh}x{self.kw} larger than input {x.shape}")
-        cols = self._cols(x)
-        y = np.tensordot(cols, self.w.value, axes=([1, 2, 3], [1, 2, 3]))
-        y = y.transpose(0, 3, 1, 2) + self.b.value[None, :, None, None]
-        return y, x
-
-    def backward(self, dy, ctx):
-        x = ctx
         n, c, h, w = x.shape
         oh, ow = h - self.kh + 1, w - self.kw + 1
         cols = self._cols(x)
-        self.w.grad += np.tensordot(dy, cols, axes=([0, 2, 3], [0, 4, 5]))
+        y = np.dot(cols, self.w.value.transpose(1, 2, 3, 0).reshape(-1, self.filters))
+        ctx = (x, cols if training else None)
+        del cols  # in eval mode, freed before the output is built
+        # C-contiguous (N, F, OH, OW), so relu and pooling read unit strides
+        out = np.ascontiguousarray(y.reshape(n, oh, ow, self.filters).transpose(0, 3, 1, 2))
+        out += self.b.value[:, None, None]
+        return out, ctx
+
+    def backward(self, dy, ctx):
+        x, cols = ctx
+        n, c, h, w = x.shape
+        oh, ow = h - self.kh + 1, w - self.kw + 1
+        if cols is None:
+            cols = self._cols(x)
+        f = self.filters
+        self.w.grad += np.dot(dy.transpose(1, 0, 2, 3).reshape(f, -1),
+                              cols).reshape(self.w.value.shape)
         self.b.grad += dy.sum(axis=(0, 2, 3))
-        # (N, OH, OW, C, kh, kw)
-        dcols = np.tensordot(dy, self.w.value, axes=([1], [0]))
-        dx = np.zeros_like(x)
+        dcols = np.dot(dy.transpose(0, 2, 3, 1).reshape(-1, f), self.w.value.reshape(f, -1))
+        dcols = dcols.reshape(n, oh, ow, c, self.kh, self.kw)
+        # col2im: each dx entry sums its kernel offsets (p, q) in row-major
+        # order from +0.0, accumulated channels-last for unit-stride writes
+        dx = np.zeros((n, h, w, c))
         for p in range(self.kh):
             for q in range(self.kw):
-                dx[:, :, p:p + oh, q:q + ow] += dcols[:, :, :, :, p, q].transpose(0, 3, 1, 2)
-        return dx
+                dx[:, p:p + oh, q:q + ow] += dcols[..., p, q]
+        return np.ascontiguousarray(dx.transpose(0, 3, 1, 2))
 
 
 class MaxPool2x2(Layer):
     """2x2 max pooling with stride 2; odd edges pool the partial block.
 
-    Backward routes the gradient to the argmax position, first occurrence in
-    row-major block order on ties.
+    Each output takes the first maximum of its block in row-major order (a
+    later element wins only when strictly greater), and backward routes the
+    gradient to that position. For finite inputs this is ``argmax``'s rule,
+    signed zeros included.
     """
 
     kind = "maxpool2x2"
@@ -142,19 +186,24 @@ class MaxPool2x2(Layer):
         else:
             xp = np.asarray(x, dtype=np.float64)
         oh, ow = h2 // 2, w2 // 2
-        blocks = xp.reshape(n, c, oh, 2, ow, 2).transpose(0, 1, 2, 4, 3, 5)
-        blocks = blocks.reshape(n, c, oh, ow, 4)
-        idx = blocks.argmax(axis=-1)
-        y = np.take_along_axis(blocks, idx[..., None], axis=-1)[..., 0]
+        top_l, top_r = xp[:, :, 0::2, 0::2], xp[:, :, 0::2, 1::2]
+        bot_l, bot_r = xp[:, :, 1::2, 0::2], xp[:, :, 1::2, 1::2]
+        right_top = top_r > top_l
+        right_bot = bot_r > bot_l
+        bottom = np.maximum(bot_l, bot_r) > np.maximum(top_l, top_r)
+        # flat index of the chosen element in xp
+        idx = (np.arange(n * c).reshape(n, c, 1, 1) * (h2 * w2)
+               + (2 * w2) * np.arange(oh)[:, None] + 2 * np.arange(ow))
+        idx += bottom * w2
+        idx += right_top ^ ((right_top ^ right_bot) & bottom)  # column within the chosen row
+        y = np.take(xp.reshape(-1), idx)
         return y, (x.shape, idx)
 
     def backward(self, dy, ctx):
         (n, c, h, w), idx = ctx
-        oh, ow = (h + 1) // 2, (w + 1) // 2
-        dblocks = np.zeros((n, c, oh, ow, 4), dtype=np.float64)
-        np.put_along_axis(dblocks, idx[..., None], dy[..., None], axis=-1)
-        dxp = dblocks.reshape(n, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        dxp = dxp.reshape(n, c, 2 * oh, 2 * ow)
+        h2, w2 = 2 * ((h + 1) // 2), 2 * ((w + 1) // 2)
+        dxp = np.zeros((n, c, h2, w2), dtype=np.float64)
+        dxp.reshape(-1)[idx] = dy
         return np.ascontiguousarray(dxp[:, :, :h, :w])
 
 
@@ -190,6 +239,7 @@ class Dense(Layer):
     """Affine map y = x W^T + b over (N, in) input."""
 
     kind = "dense"
+    random_init = True
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
         self.in_features = in_features
@@ -280,6 +330,7 @@ class Bilstm(Layer):
     """
 
     kind = "bilstm"
+    random_init = True
 
     def __init__(self, input_size: int, hidden: int, rng: np.random.Generator):
         self.input_size = input_size
@@ -396,21 +447,11 @@ LAYER_KINDS = {
 
 
 def layer_from_spec(spec: dict, rng: np.random.Generator) -> Layer:
-    kind = spec.get("kind")
-    if kind == "conv2d":
-        return Conv2D(spec["in_channels"], spec["filters"], spec["kh"], spec["kw"], rng)
-    if kind == "maxpool2x2":
-        return MaxPool2x2()
-    if kind == "dropout":
-        return Dropout(spec.get("rate", 0.25))
-    if kind == "dense":
-        return Dense(spec["in_features"], spec["out_features"], rng)
-    if kind == "relu":
-        return Relu()
-    if kind == "flatten":
-        return Flatten()
-    if kind == "softmax":
-        return Softmax()
-    if kind == "bilstm":
-        return Bilstm(spec["input_size"], spec["hidden"], rng)
-    raise ConfigError(f"unknown layer kind '{kind}'")
+    """Rebuild a layer from its ``spec()``; layers with weights draw their
+    initial values from ``rng``."""
+    args = dict(spec)
+    kind = args.pop("kind", None)
+    cls = LAYER_KINDS.get(kind)
+    if cls is None:
+        raise ConfigError(f"unknown layer kind '{kind}'")
+    return cls(**args, rng=rng) if cls.random_init else cls(**args)

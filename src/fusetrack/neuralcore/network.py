@@ -35,18 +35,16 @@ class Network:
         self.cls_head = cls_head
         self.input_shape = tuple(input_shape)
         self.extra_header = dict(extra_header or {})
+        scopes = [(f"trunk.{i}.{layer.kind}", layer) for i, layer in enumerate(trunk)]
+        scopes += [("reg_head", reg_head), ("cls_head", cls_head)]
+        for scope, layer in scopes:
+            for p in layer.params():
+                p.name = f"{scope}.{p.name.split('.')[-1]}"
 
     def params(self) -> list[Param]:
-        out = []
-        for i, layer in enumerate(self.trunk):
-            for p in layer.params():
-                p.name = f"trunk.{i}.{layer.kind}.{p.name.split('.')[-1]}"
-                out.append(p)
-        for name, head in (("reg_head", self.reg_head), ("cls_head", self.cls_head)):
-            for p in head.params():
-                p.name = f"{name}.{p.name.split('.')[-1]}"
-                out.append(p)
-        return out
+        """Every parameter in checkpoint order: trunk, then the two heads."""
+        return [p for layer in (*self.trunk, self.reg_head, self.cls_head)
+                for p in layer.params()]
 
     def zero_grad(self) -> None:
         for p in self.params():
@@ -124,13 +122,17 @@ class Network:
                 raise CacheError(f"bad checkpoint magic {magic!r}")
             if version != _VERSION:
                 raise CacheError(f"unsupported checkpoint version {version}")
-            spec = json.loads(fh.read(json_len).decode("utf-8"))
             rng = np.random.default_rng(0)  # placeholder init, overwritten below
-            trunk = [layer_from_spec(s, rng) for s in spec["trunk"]]
-            reg_head = layer_from_spec(spec["reg_head"], rng)
-            cls_head = layer_from_spec(spec["cls_head"], rng)
-            net = cls(trunk, reg_head, cls_head, tuple(spec["input_shape"]),
-                      spec.get("extra"))
+            try:
+                spec = json.loads(fh.read(json_len).decode("utf-8"))
+                trunk = [layer_from_spec(s, rng) for s in spec["trunk"]]
+                reg_head = layer_from_spec(spec["reg_head"], rng)
+                cls_head = layer_from_spec(spec["cls_head"], rng)
+                net = cls(trunk, reg_head, cls_head, tuple(spec["input_shape"]),
+                          spec.get("extra"))
+            except (ValueError, KeyError, TypeError) as exc:
+                # undecodable JSON, missing or ill-typed keys, unknown layers
+                raise CacheError(f"corrupt checkpoint header in {path}: {exc!r}") from exc
             for p in net.params():
                 raw = fh.read(8 * p.size)
                 if len(raw) != 8 * p.size:

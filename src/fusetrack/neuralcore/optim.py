@@ -47,11 +47,6 @@ class Adam:
             p.value -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
-def zero_grads(params: list[Param]) -> None:
-    for p in params:
-        p.grad[...] = 0.0
-
-
 def clip_gradient_norm(params: list[Param], max_norm: float) -> float:
     """Scale gradients so their joint L2 norm is at most ``max_norm``.
 

@@ -349,6 +349,7 @@ def train_pdr(
                 dreg = _masked_regression_grad(reg, tb, lb, cfg)
                 dlogits = cfg.alpha * cross_entropy_grad(logits, lb)
                 model.net.backward(cache, dreg, dlogits)
+                del cache  # the layer caches go before the next forward builds its own
                 if lstm_params and cfg.grad_clip > 0:
                     clip_gradient_norm(lstm_params, cfg.grad_clip)
                 adam.step()

@@ -49,6 +49,7 @@ FLOAT_ONLY = st.sampled_from(["1_000", "٣", "１", "2.5_5"])
 BAD_VALUES = st.sampled_from(["zz", "", "1.0.0", "1__0", "--1", "0x10"])
 SEPARATORS = st.sampled_from(["\x1c", "\x1d", "\x1e", "\x1f"])
 BAD_TIMES = st.sampled_from(["-1", "-0.5", "nan", "inf", "-inf", "1e400"])
+NON_FINITE = st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "1e400"])
 PADS = st.sampled_from(["", "", " ", "\t", "  ", "\x0b"])
 AP_IDS = st.sampled_from(["aa:bb:cc", "ap1", "ap2", " ap3 ", "a b"])
 OTHER_LINES = st.sampled_from([
@@ -78,7 +79,7 @@ def irregular_fields(draw):
     numeric = [i for i in range(1, len(fields))
                if not (fields[0] == ingest.WIFI and i == 3)]
     flaw = draw(st.sampled_from(["spelling", "drop", "add", "bare", "value",
-                                 "separator", "time", "ap_id"]))
+                                 "separator", "time", "ap_id", "floor"]))
     if flaw == "spelling":
         fields[draw(st.sampled_from(numeric))] = draw(FLOAT_ONLY)
     elif flaw == "drop":
@@ -94,8 +95,10 @@ def irregular_fields(draw):
         fields[i] = draw(st.sampled_from(["", "1"])) + draw(SEPARATORS) + fields[i]
     elif flaw == "time":
         fields[1] = draw(BAD_TIMES)
-    elif fields[0] == ingest.WIFI:
+    elif flaw == "ap_id" and fields[0] == ingest.WIFI:
         fields[3] = draw(st.sampled_from(["", "  "]))
+    elif flaw == "floor" and fields[0] == ingest.POSI:
+        fields[5] = draw(NON_FINITE)
     return fields
 
 
@@ -156,6 +159,7 @@ def log_path(tmp_path_factory):
 @example(text="ACCE\n")
 @example(text="ACCE;1;1;0;0;9.8\x0bGYRO;1;1;0;0;0\u2028MAGN;1;1;0;0;0\n")
 @example(text="PRES;1;1;1013\nPRES;2;2\n")
+@example(text="POSI;1;1;2;3;4\nPOSI;1;1;2;3;nan\n")
 def test_column_path_agrees_with_line_path(log_path, text):
     log_path.write_text(text, encoding="utf-8", newline="")
     read = log_path.read_text(encoding="utf-8")

@@ -1,9 +1,13 @@
 """Layer math, losses, Adam and finite-difference gradient verification."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from fusetrack.errors import (
+    CacheError,
     ConfigError,
     DivergenceError,
     EmptyBatchError,
@@ -348,3 +352,27 @@ class TestNetwork:
         path = tmp_path / "model.tfnn"
         net.save(path)
         assert path.read_bytes()[:4] == b"TFNN"
+
+    def rewrite_header(self, tmp_path, edit):
+        """A saved checkpoint whose JSON header bytes went through ``edit``."""
+        path = tmp_path / "model.tfnn"
+        self.build().save(path)
+        blob = path.read_bytes()
+        magic, version, json_len = struct.unpack("<4sII", blob[:12])
+        header = edit(blob[12:12 + json_len])
+        path.write_bytes(struct.pack("<4sII", magic, version, len(header))
+                         + header + blob[12 + json_len:])
+        return path
+
+    def test_checkpoint_garbled_header_raises_cache_error(self, tmp_path):
+        path = self.rewrite_header(tmp_path, lambda h: h.replace(b'"trunk":', b'"trunk"'))
+        with pytest.raises(CacheError, match="corrupt checkpoint header"):
+            Network.load(path)
+
+    def test_checkpoint_without_trunk_raises_cache_error(self, tmp_path):
+        def drop_trunk(h):
+            spec = json.loads(h)
+            del spec["trunk"]
+            return json.dumps(spec).encode()
+        with pytest.raises(CacheError, match="trunk"):
+            Network.load(self.rewrite_header(tmp_path, drop_trunk))

@@ -15,7 +15,7 @@ from fusetrack.bench import (
     run_pipeline,
     simulate_track,
 )
-from fusetrack.errors import ConfigError, PipelineError
+from fusetrack.errors import ConfigError, LogParseError, PipelineError
 from fusetrack.features import magnitude_channels
 from fusetrack.ingest import parse_logfile, resample_stream
 from fusetrack.labels import ensure_yaw
@@ -262,6 +262,23 @@ class TestCli:
         assert cli.main(["run", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(
             "error: stage 'ingest' failed: line 1: malformed value 2")
+
+    @pytest.mark.parametrize("floor", ["nan", "inf", "-inf"])
+    def test_non_finite_posi_floor_exits_2(self, tmp_path, capsys, floor):
+        log = tmp_path / "bad.log"
+        log.write_text(f"ACCE;1;1;0;0;9.8\nPOSI;1;1;2;3;{floor}\n", encoding="utf-8")
+        with pytest.raises(LogParseError, match=f"line 2: POSI floor must be finite, got {floor}"):
+            parse_logfile(log)
+        assert cli.main(["parse", "--log", str(log), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: line 2: POSI floor")
+
+    def test_invalid_utf8_log_exits_2(self, tmp_path, capsys):
+        log = tmp_path / "bad.log"
+        log.write_bytes(b"ACCE;1;1;0;0;9.8\nACCE;2;2;0;0;\xff\n")
+        with pytest.raises(LogParseError, match="not valid UTF-8"):
+            parse_logfile(log)
+        assert cli.main(["parse", "--log", str(log), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {log} is not valid UTF-8")
 
     def test_missing_log_in_run_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
