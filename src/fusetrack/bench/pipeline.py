@@ -16,17 +16,17 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ConfigError, PipelineError, InsufficientDataError
+from ..errors import ConfigError, InsufficientDataError, LogParseError, PipelineError
 from ..features import RAW, magnitude_channels, make_windows
 from ..ingest import parse_logfile, resample_stream
 from ..labels import (
+    PseudoLabeledSample,
     TrackTrajectory,
     detect_activity,
     detect_floor_changes,
     detect_steps,
     ensure_yaw,
     generate_pseudo_labels,
-    save_dataset,
 )
 from ..pdr import (
     INFER_STRIDE,
@@ -81,7 +81,6 @@ class PipelineConfig:
     sigma_pdr: float = 0.1  # process noise per displacement step, meters
     fixed_r_sigma: float = 0.0  # ablation: 0 keeps the adaptive measurement noise
     model_checkpoint: str = ""  # load instead of training when set
-    save_dataset_cache: bool = False
     vae_epochs: int = 300
 
     @classmethod
@@ -120,7 +119,6 @@ class TrackData:
     activity: list = None
     steps: list = None
     trajectory: TrackTrajectory | None = None
-    samples: list = None
 
 
 @dataclass
@@ -134,24 +132,61 @@ class PipelineResult:
 
 
 def load_track(path) -> TrackData:
-    """Parse and resample one logfile, with yaw and magnitude channels added."""
-    sensor_log, scans, landmarks = parse_logfile(path)
+    """Parse and resample one logfile, with yaw and magnitude channels added.
+
+    A malformed line is reported with the file it is in.
+    """
+    try:
+        sensor_log, scans, landmarks = parse_logfile(path)
+    except LogParseError as exc:
+        if str(path) in str(exc):
+            raise
+        named = LogParseError(f"{exc} (in {path})")
+        named.line_no = exc.line_no
+        raise named from exc
     stream = resample_stream(sensor_log)
     stream = magnitude_channels(ensure_yaw(stream))
     return TrackData(Path(path).stem, stream, scans, landmarks)
 
 
-def label_track(track: TrackData, stride: int) -> None:
-    """Detect activity and steps; pseudo-label windows if there are landmarks."""
+def label_track(track: TrackData) -> None:
+    """Detect activity and steps; interpolate a trajectory if there are landmarks."""
     track.activity = detect_activity(track.stream)
     track.steps = detect_steps(track.stream, track.activity)
     if len(track.landmarks) >= 2:
         track.trajectory = TrackTrajectory(track.landmarks, track.steps, track.activity)
-        windows = make_windows(track.stream, stride=stride, source_track=track.name)
-        track.samples = generate_pseudo_labels(
-            track.stream, track.landmarks, track.steps, track.activity, windows)
-    else:
-        track.samples = []
+
+
+def pseudo_label(track: TrackData, stride: int) -> list[PseudoLabeledSample]:
+    """Window a labelled track at ``stride`` and give each window its target."""
+    windows = make_windows(track.stream, stride=stride, source_track=track.name)
+    return generate_pseudo_labels(
+        track.stream, track.landmarks, track.steps, track.activity, windows)
+
+
+def training_split(tracks: list[TrackData], stride: int, n_val: int = 0
+                   ) -> tuple[list[PseudoLabeledSample], list[PseudoLabeledSample]]:
+    """Pseudo-label the tracks that have a trajectory; split them for training.
+
+    Tracks whose windows all fall outside the landmark span drop out. The
+    last ``n_val`` labelled tracks (0: a fifth, at least one) are held out
+    for validation; a single labelled track is both the fit and validation
+    set. Returns the (fit, validation) samples.
+    """
+    labelled = []
+    for track in tracks:
+        if track.trajectory is not None:
+            samples = pseudo_label(track, stride)
+            if samples:
+                labelled.append(samples)
+    if not labelled:
+        raise InsufficientDataError("no training track has landmarks")
+    if len(labelled) == 1:
+        return labelled[0], labelled[0]
+    n_val = min(n_val or max(1, len(labelled) // 5), len(labelled) - 1)
+    fit = [s for samples in labelled[:-n_val] for s in samples]
+    val = [s for samples in labelled[-n_val:] for s in samples]
+    return fit, val
 
 
 def run_pipeline(config) -> PipelineResult:
@@ -175,11 +210,10 @@ def run_pipeline(config) -> PipelineResult:
 
         stage = "labels"
         for track in train_tracks:
-            label_track(track, config.train_stride)
-            if config.save_dataset_cache and track.samples:
-                save_dataset(track.samples,
-                             out_dir / f"{track.name}_windows.bin",
-                             out_dir / f"{track.name}_index.csv")
+            label_track(track)
+        if not config.model_checkpoint:
+            fit_samples, val_samples = training_split(
+                train_tracks, config.train_stride, config.val_track_count)
 
         stage = "train_pdr"
         pdr_cfg = PdrModelConfig(
@@ -191,17 +225,8 @@ def run_pipeline(config) -> PipelineResult:
         if config.model_checkpoint:
             model = PdrModel.load(config.model_checkpoint)
         else:
-            labeled_tracks = [t for t in train_tracks if t.samples]
-            if not labeled_tracks:
-                raise InsufficientDataError("no training track has landmarks")
-            n_val = config.val_track_count or max(1, len(labeled_tracks) // 5)
-            n_val = min(n_val, len(labeled_tracks) - 1) or 1
-            val_tracks = labeled_tracks[-n_val:] if len(labeled_tracks) > 1 else labeled_tracks
-            fit_tracks = labeled_tracks[:-n_val] if len(labeled_tracks) > 1 else labeled_tracks
-            train_samples = [s for t in fit_tracks for s in t.samples]
-            val_samples = [s for t in val_tracks for s in t.samples]
             model = build_model(pdr_cfg)
-            model, history = train_pdr(model, train_samples, val_samples, pdr_cfg)
+            model, history = train_pdr(model, fit_samples, val_samples, pdr_cfg)
             history.save_csv(out_dir / "history.csv")
             model.save(out_dir / "pdr_model.tfnn")
 

@@ -17,15 +17,13 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..ingest import Landmark
+from ..labels import FLOOR_HEIGHT_M, HPA_PER_M
 
 GRAVITY = 9.81
 #: magnetic field magnitude seen by the magnetometer, microtesla
 MAG_FIELD_UT = 45.0
 #: sea-level reference pressure, hPa
 P0_HPA = 1013.25
-#: pressure change per meter of height and floor height (shared with labels)
-HPA_PER_M = 0.12
-FLOOR_HEIGHT_M = 3.5
 #: gait oscillation amplitude while walking, m/s^2
 WALK_AMPLITUDE = 2.0
 #: turn rate while changing heading, rad/s

@@ -10,7 +10,6 @@ import argparse
 import json
 import logging
 import sys
-from pathlib import Path
 
 from .bench import (
     PipelineConfig,
@@ -20,11 +19,10 @@ from .bench import (
     run_pipeline,
     simulate_track,
 )
-from .bench.pipeline import TrackData, label_track, load_track
+from .bench.pipeline import TrackData, label_track, load_track, training_split
 from .errors import FusetrackError, PipelineError, ValidationError
 from .features import RAW, RP, magnitude_channels
 from .ingest import parse_logfile, resample_stream
-from .labels import save_dataset
 from .pdr import (
     INFER_STRIDE,
     TRAIN_STRIDE,
@@ -40,11 +38,11 @@ from .wifi import RadioMap, VaeConfig, build_radiomap, train_vae
 log = logging.getLogger(__name__)
 
 
-def _load_labeled_tracks(paths, stride) -> list[TrackData]:
-    """Parse, resample and pseudo-label a set of training logs."""
+def _load_labeled_tracks(paths) -> list[TrackData]:
+    """Parse and resample a set of training logs; detect steps and trajectories."""
     tracks = [load_track(path) for path in paths]
     for track in tracks:
-        label_track(track, stride)
+        label_track(track)
     return tracks
 
 
@@ -71,34 +69,13 @@ def cmd_parse(args) -> int:
     return 0
 
 
-def cmd_pseudolabel(args) -> int:
-    [track] = _load_labeled_tracks([args.log], args.stride)
-    if not track.samples:
-        raise ValidationError(
-            f"{args.log} has {len(track.landmarks)} landmarks; need >= 2")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_dataset(track.samples, out / "windows.bin", out / "index.csv")
-    print(f"{len(track.samples)} labeled windows -> {out}")
-    return 0
-
-
 def cmd_train_pdr(args) -> int:
     cfg = PdrModelConfig(
         input_mode=args.mode, arch=args.arch, rng_seed=args.seed,
         max_epochs=args.epochs, patience=args.patience,
         batch_size=args.batch_size,
     )
-    tracks = _load_labeled_tracks(args.logs, TRAIN_STRIDE)
-    labeled = [t for t in tracks if t.samples]
-    if not labeled:
-        raise ValidationError("no input log has enough landmarks to train on")
-    n_val = max(1, len(labeled) // 5) if len(labeled) > 1 else 0
-    val = ([s for t in labeled[len(labeled) - n_val:] for s in t.samples]
-           if n_val else None)
-    fit = [s for t in labeled[:len(labeled) - n_val] for s in t.samples]
-    if not val:
-        val = fit
+    fit, val = training_split(_load_labeled_tracks(args.logs), TRAIN_STRIDE)
     model = build_model(cfg)
     model, history = train_pdr(model, fit, val, cfg)
     model.save(args.out)
@@ -110,7 +87,7 @@ def cmd_train_pdr(args) -> int:
 
 
 def cmd_build_radiomap(args) -> int:
-    tracks = _load_labeled_tracks(args.logs, TRAIN_STRIDE)
+    tracks = _load_labeled_tracks(args.logs)
     scans_by_track = {t.name: t.scans for t in tracks}
     trajectories = {t.name: t.trajectory for t in tracks if t.trajectory is not None}
     radiomap = build_radiomap(scans_by_track, trajectories)
@@ -192,12 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=50.0)
     p.add_argument("--magnitudes", action="store_true")
     p.set_defaults(func=cmd_parse)
-
-    p = sub.add_parser("pseudolabel", help="generate a pseudo-labeled dataset")
-    p.add_argument("--log", required=True)
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--stride", type=int, default=TRAIN_STRIDE)
-    p.set_defaults(func=cmd_pseudolabel)
 
     p = sub.add_parser("train-pdr", help="train the displacement model")
     p.add_argument("--logs", nargs="+", required=True)

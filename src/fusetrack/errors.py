@@ -90,7 +90,7 @@ class DivergenceError(FusetrackError):
 
 
 class CacheError(FusetrackError):
-    """A cached artifact (window file, checkpoint) is stale or corrupt."""
+    """A model checkpoint or parameter state is corrupt or does not fit its network."""
 
 
 class PipelineError(FusetrackError):

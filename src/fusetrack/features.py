@@ -9,13 +9,12 @@ state of each window.
 from __future__ import annotations
 
 import logging
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import CacheError, ConfigError, MissingChannelError, ShapeError
+from .errors import ConfigError, MissingChannelError, ShapeError
 from .ingest import SensorStream
 
 log = logging.getLogger(__name__)
@@ -34,9 +33,6 @@ ROW_ORDER = (
 
 EUCLIDEAN = "euclidean"
 MAX = "max"
-
-_CACHE_MAGIC = b"TFWD"
-_CACHE_HEADER = struct.Struct("<4sB3xII")  # magic, mode byte, pad, rows, cols
 
 
 @dataclass(frozen=True)
@@ -184,39 +180,3 @@ def recurrence_matrix(window: SensorWindow, cfg: RecurrenceConfig | None = None)
     r = np.clip(1.0 - d / eps, 0.0, 1.0)
     np.fill_diagonal(r, 1.0)
     return replace(window, mode=RP, data=r)
-
-
-def save_windows(path, windows: list[SensorWindow]) -> None:
-    """Write window matrices as binary frames for dataset caching.
-
-    Each frame is a 16-byte header (magic ``TFWD``, mode byte 0=RAW 1=RP,
-    row and column counts) followed by row-major little-endian float32 data.
-    Metadata lives in the accompanying CSV index, aligned by position.
-    """
-    with open(path, "wb") as fh:
-        for w in windows:
-            rows, cols = w.data.shape
-            mode_byte = 0 if w.mode == RAW else 1
-            fh.write(_CACHE_HEADER.pack(_CACHE_MAGIC, mode_byte, rows, cols))
-            fh.write(np.asarray(w.data, dtype="<f4").tobytes(order="C"))
-
-
-def load_windows(path) -> list[tuple[str, np.ndarray]]:
-    """Read a window cache; returns ``(mode, matrix)`` pairs."""
-    out = []
-    with open(path, "rb") as fh:
-        while True:
-            header = fh.read(_CACHE_HEADER.size)
-            if not header:
-                break
-            if len(header) != _CACHE_HEADER.size:
-                raise CacheError(f"truncated window header in {path}")
-            magic, mode_byte, rows, cols = _CACHE_HEADER.unpack(header)
-            if magic != _CACHE_MAGIC:
-                raise CacheError(f"bad magic {magic!r} in {path}")
-            payload = fh.read(4 * rows * cols)
-            if len(payload) != 4 * rows * cols:
-                raise CacheError(f"truncated window data in {path}")
-            data = np.frombuffer(payload, dtype="<f4").reshape(rows, cols)
-            out.append((RAW if mode_byte == 0 else RP, data.astype(float)))
-    return out

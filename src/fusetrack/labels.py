@@ -420,17 +420,3 @@ def generate_pseudo_labels(
     if skipped:
         log.info("%d windows outside the landmark span were skipped", skipped)
     return samples
-
-
-def save_dataset(samples: list[PseudoLabeledSample], windows_path, index_path) -> None:
-    """Cache a labeled dataset: binary window file plus CSV index."""
-    from .features import save_windows
-
-    save_windows(windows_path, [s.window for s in samples])
-    with open(index_path, "w", encoding="utf-8") as fh:
-        fh.write("track,window_offset,dx,dy,activity,provenance\n")
-        for s in samples:
-            fh.write(
-                f"{s.window.source_track},{s.window.offset},"
-                f"{s.delta[0]:.9g},{s.delta[1]:.9g},{s.activity},{s.provenance}\n"
-            )

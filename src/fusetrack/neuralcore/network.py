@@ -50,11 +50,13 @@ class Network:
         for p in self.params():
             p.grad[...] = 0.0
 
-    def num_params(self) -> int:
-        return sum(p.size for p in self.params())
-
     def forward(self, x, training: bool = False, rng=None):
-        """Returns (regression (N,2), class logits (N,2), cache)."""
+        """Returns (regression (N,2), class logits (N,2), cache).
+
+        Only a training-mode cache feeds :meth:`backward`. In eval mode each
+        layer's ctx is dropped as soon as the next layer has run, so the
+        cache holds no arrays and cannot be used for a backward pass.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.shape[1:] != self.input_shape:
             raise ShapeError(
@@ -67,9 +69,11 @@ class Network:
                 h, ctx = layer.forward(h, training=training, rng=rng)
             except ShapeError as exc:
                 raise ShapeError(f"layer {i} ({layer.kind}): {exc}") from exc
-            caches.append(ctx)
+            caches.append(ctx if training else None)
         reg, reg_ctx = self.reg_head.forward(h, training=training, rng=rng)
         logits, cls_ctx = self.cls_head.forward(h, training=training, rng=rng)
+        if not training:
+            reg_ctx = cls_ctx = None
         return reg, logits, (caches, reg_ctx, cls_ctx)
 
     def backward(self, cache, dreg, dlogits):

@@ -76,7 +76,6 @@ class PdrModelConfig:
     dense_units: int = 128
     lstm_hidden: int = 64
     rng_seed: int = 0
-    include_still_in_regression: bool = True
     ground_truth_oversample: int = 1
     grad_clip: float = 5.0  # applied to BiLSTM parameters during training
 
@@ -275,28 +274,9 @@ class TrainHistory:
 
 def _batch_losses(model: PdrModel, x, targets, labels, cfg) -> tuple[float, float, float]:
     reg, logits, _ = model.net.forward(x, training=False)
-    regr = _masked_regression_loss(reg, targets, labels, cfg)
+    regr = l2_displacement_loss(reg, targets)
     ce = cross_entropy_loss(logits, labels)
     return total_loss(regr, ce, cfg.alpha), regr, ce
-
-
-def _masked_regression_loss(reg, targets, labels, cfg) -> float:
-    if cfg.include_still_in_regression:
-        return l2_displacement_loss(reg, targets)
-    mask = labels == 1
-    if not mask.any():
-        return 0.0
-    return l2_displacement_loss(reg[mask], targets[mask])
-
-
-def _masked_regression_grad(reg, targets, labels, cfg) -> np.ndarray:
-    if cfg.include_still_in_regression:
-        return l2_displacement_grad(reg, targets)
-    grad = np.zeros_like(reg)
-    mask = labels == 1
-    if mask.any():
-        grad[mask] = l2_displacement_grad(reg[mask], targets[mask])
-    return grad
 
 
 def train_pdr(
@@ -339,14 +319,14 @@ def train_pdr(
                 xb, tb, lb = x_train[idx], t_train[idx], l_train[idx]
                 rng = np.random.default_rng((cfg.rng_seed, 2, step))
                 reg, logits, cache = model.net.forward(xb, training=True, rng=rng)
-                regr = _masked_regression_loss(reg, tb, lb, cfg)
+                regr = l2_displacement_loss(reg, tb)
                 ce = cross_entropy_loss(logits, lb)
                 loss = total_loss(regr, ce, cfg.alpha)
                 if not np.isfinite(loss):
                     raise DivergenceError(f"non-finite loss at step {step}")
                 batch_losses.append(loss)
                 model.net.zero_grad()
-                dreg = _masked_regression_grad(reg, tb, lb, cfg)
+                dreg = l2_displacement_grad(reg, tb)
                 dlogits = cfg.alpha * cross_entropy_grad(logits, lb)
                 model.net.backward(cache, dreg, dlogits)
                 del cache  # the layer caches go before the next forward builds its own

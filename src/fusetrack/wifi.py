@@ -174,7 +174,6 @@ class PositionFix:
     position: np.ndarray
     sigma: float
     floor: int | None = None
-    low_confidence: bool = False
 
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float)
@@ -247,6 +246,9 @@ class WifiVae:
     labeled fingerprints only.
     """
 
+    #: the layers with parameters, in the order params() lists them
+    _LAYERS = ("enc_hidden", "enc_mu", "enc_logvar", "dec_hidden", "dec_out", "reg_head")
+
     def __init__(self, n_aps: int, cfg: VaeConfig):
         self.n_aps = n_aps
         self.cfg = cfg
@@ -259,6 +261,9 @@ class WifiVae:
         self.reg_head = Dense(cfg.latent_dim, 2, rng)
         self._relu_e = Relu()
         self._relu_d = Relu()
+        for name in self._LAYERS:
+            for p in getattr(self, name).params():
+                p.name = f"{name}.{p.name.split('.')[-1]}"
         self.sigma_cal: float = float("nan")  # validation RMSE, set by training
         # the regression head works in standardized coordinates; training
         # fits these from the labeled positions
@@ -272,16 +277,7 @@ class WifiVae:
         return normalized * self.pos_scale + self.pos_mean
 
     def params(self) -> list[Param]:
-        out = []
-        for name, layer in (
-            ("enc_hidden", self.enc_hidden), ("enc_mu", self.enc_mu),
-            ("enc_logvar", self.enc_logvar), ("dec_hidden", self.dec_hidden),
-            ("dec_out", self.dec_out), ("reg_head", self.reg_head),
-        ):
-            for p in layer.params():
-                p.name = f"{name}.{p.name.split('.')[-1]}"
-                out.append(p)
-        return out
+        return [p for name in self._LAYERS for p in getattr(self, name).params()]
 
     def zero_grad(self) -> None:
         for p in self.params():
@@ -423,8 +419,7 @@ def train_vae(radiomap: RadioMap, cfg: VaeConfig | None = None) -> WifiVae:
 def vae_predict(model: WifiVae, scan: WifiScan, ap_ids: list[str]) -> PositionFix:
     """Deterministic position from the encoder mean.
 
-    Scans with no visible AP produce a low-confidence fix with the calibrated
-    sigma inflated threefold.
+    Scans with no visible AP get the calibrated sigma inflated threefold.
     """
     if len(ap_ids) != model.n_aps:
         raise DictionaryError(
@@ -434,4 +429,4 @@ def vae_predict(model: WifiVae, scan: WifiScan, ap_ids: list[str]) -> PositionFi
     empty = bool(np.all(vec == RSS_FLOOR_DBM))
     pos = model.predict_unit(normalize_rss(vec)[None, :])[0]
     sigma = model.sigma_cal * (3.0 if empty else 1.0)
-    return PositionFix(pos, float(sigma), low_confidence=empty)
+    return PositionFix(pos, float(sigma))

@@ -10,12 +10,10 @@ from fusetrack.features import (
     ROW_ORDER,
     RecurrenceConfig,
     SensorWindow,
-    load_windows,
     magnitude_channels,
     make_windows,
     pairwise_column_distances,
     recurrence_matrix,
-    save_windows,
     standardize_rows,
 )
 from fusetrack.ingest import SensorStream
@@ -140,24 +138,3 @@ class TestRecurrenceMatrix:
         with pytest.raises(ShapeError):
             recurrence_matrix(w)
 
-
-class TestWindowCache:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(4)
-        windows = [random_window(rng) for _ in range(3)]
-        windows.append(recurrence_matrix(windows[0]))
-        path = tmp_path / "cache.bin"
-        save_windows(path, windows)
-        loaded = load_windows(path)
-        assert len(loaded) == 4
-        for (mode, data), w in zip(loaded, windows):
-            assert mode == w.mode
-            np.testing.assert_allclose(data, w.data, atol=1e-6)  # float32 cache
-
-    def test_header_size_is_16_bytes(self, tmp_path):
-        w = SensorWindow(mode=RAW, data=np.zeros((2, 3)), t_center=0.0)
-        path = tmp_path / "one.bin"
-        save_windows(path, [w])
-        blob = path.read_bytes()
-        assert blob[:4] == b"TFWD"
-        assert len(blob) == 16 + 4 * 6

@@ -329,6 +329,24 @@ class TestNetwork:
         np.testing.assert_array_equal(r1, r2)
         np.testing.assert_array_equal(l1, l2)
 
+    def test_eval_forward_cache_holds_no_array(self):
+        def arrays_in(obj):
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, (tuple, list)):
+                for item in obj:
+                    yield from arrays_in(item)
+
+        net = self.build()
+        x = np.random.default_rng(1).normal(0, 1, (3, 1, 12, 50))
+        r_eval, l_eval, cache = net.forward(x, training=False)
+        assert not list(arrays_in(cache))
+        # the trunk has no dropout, so training mode computes the same outputs
+        r_train, l_train, train_cache = net.forward(x, training=True)
+        assert list(arrays_in(train_cache))
+        np.testing.assert_array_equal(r_eval, r_train)
+        np.testing.assert_array_equal(l_eval, l_train)
+
     def test_shape_error_names_layer(self):
         net = self.build()
         with pytest.raises(ShapeError):

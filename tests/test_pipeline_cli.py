@@ -15,7 +15,8 @@ from fusetrack.bench import (
     run_pipeline,
     simulate_track,
 )
-from fusetrack.errors import ConfigError, LogParseError, PipelineError
+from fusetrack.bench import pipeline
+from fusetrack.errors import ConfigError, InsufficientDataError, LogParseError, PipelineError
 from fusetrack.features import magnitude_channels
 from fusetrack.ingest import parse_logfile, resample_stream
 from fusetrack.labels import ensure_yaw
@@ -140,6 +141,52 @@ class TestPipeline:
         result = run_pipeline(ablated)
         assert result.report.mae > 0
 
+    def test_checkpoint_run_does_not_pseudo_label(self, mini_run, mini_tracks,
+                                                   monkeypatch):
+        cfg, trained = mini_run
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a checkpoint run pseudo-labelled a track")
+        monkeypatch.setattr(pipeline, "make_windows", fail)
+        monkeypatch.setattr(pipeline, "generate_pseudo_labels", fail)
+        result = run_pipeline(dict(
+            cfg, out_dir=str(mini_tracks["dir"] / "from_checkpoint"),
+            model_checkpoint=str(Path(cfg["out_dir"]) / "pdr_model.tfnn")))
+        assert result.report.to_dict() == trained.report.to_dict()
+        assert {k: v.to_dict() for k, v in result.per_track.items()} == \
+            {k: v.to_dict() for k, v in trained.per_track.items()}
+
+    def test_train_pdr_cli_writes_the_pipeline_checkpoint(self, mini_run, tmp_path):
+        cfg, _ = mini_run
+        model_path = tmp_path / "model.tfnn"
+        history_path = tmp_path / "history.csv"
+        assert cli.main(["train-pdr", "--logs", *cfg["train_logs"],
+                         "--out", str(model_path), "--seed", str(cfg["seed"]),
+                         "--epochs", str(cfg["max_epochs"]),
+                         "--patience", str(cfg["patience"]),
+                         "--history", str(history_path)]) == 0
+        out = Path(cfg["out_dir"])
+        assert model_path.read_bytes() == (out / "pdr_model.tfnn").read_bytes()
+        assert history_path.read_bytes() == (out / "history.csv").read_bytes()
+
+    def test_no_labelled_track_is_insufficient_data(self, mini_tracks, tmp_path):
+        log = tmp_path / "nolandmarks.log"
+        log.write_text("".join(line for line in
+                               Path(mini_tracks["train_logs"][0]).open(encoding="utf-8")
+                               if not line.startswith("POSI")), encoding="utf-8")
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(dict(train_logs=[str(log)], test_logs=mini_tracks["test_logs"],
+                              out_dir=str(tmp_path / "out")))
+        assert err.value.stage == "labels"
+        assert isinstance(err.value.cause, InsufficientDataError)
+        assert cli.main(["train-pdr", "--logs", str(log),
+                         "--out", str(tmp_path / "m.tfnn")]) == 2
+
+    def test_dataset_cache_key_rejected(self):
+        with pytest.raises(ConfigError, match="save_dataset_cache"):
+            PipelineConfig.from_dict({"test_logs": ["x"], "train_logs": ["y"],
+                                      "save_dataset_cache": True})
+
     def test_unknown_config_key_rejected(self):
         with pytest.raises(ConfigError, match="bogus"):
             PipelineConfig.from_dict({"test_logs": ["x"], "train_logs": ["y"],
@@ -174,14 +221,6 @@ class TestCli:
                          "--magnitudes"]) == 0
         header = csv_out.read_text().splitlines()[0]
         assert header.startswith("t,acce_x")
-
-        dataset_dir = tmp_path / "dataset"
-        assert cli.main(["pseudolabel", "--log", str(log),
-                         "--out", str(dataset_dir)]) == 0
-        assert (dataset_dir / "windows.bin").exists()
-        index = (dataset_dir / "index.csv").read_text().splitlines()
-        assert index[0] == "track,window_offset,dx,dy,activity,provenance"
-        assert len(index) > 10
 
     def test_simulate_seed_override_changes_output(self, tmp_path):
         scenario_path = tmp_path / "scenario.json"
@@ -262,6 +301,20 @@ class TestCli:
         assert cli.main(["run", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(
             "error: stage 'ingest' failed: line 1: malformed value 2")
+
+    def test_malformed_train_log_in_run_names_its_file(self, mini_tracks, tmp_path,
+                                                       capsys):
+        bad = tmp_path / "second.log"
+        bad.write_text("ACCE;1.0;1.0;0;zz;9.8\n", encoding="utf-8")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train_logs": [mini_tracks["train_logs"][0], str(bad)],
+                                   "test_logs": mini_tracks["test_logs"],
+                                   "out_dir": str(tmp_path / "out")}),
+                       encoding="utf-8")
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 'ingest' failed: line 1: malformed value 2")
+        assert str(bad) in err
 
     @pytest.mark.parametrize("floor", ["nan", "inf", "-inf"])
     def test_non_finite_posi_floor_exits_2(self, tmp_path, capsys, floor):

@@ -277,7 +277,6 @@ class TestVae:
         base = vae_predict(model, scan_from(rmap.fingerprints[0].rss, rmap.ap_ids),
                            rmap.ap_ids)
         empty = vae_predict(model, WifiScan(0.0, {}), rmap.ap_ids)
-        assert empty.low_confidence
         assert empty.sigma == pytest.approx(3.0 * base.sigma)
 
     def test_dictionary_mismatch(self):
