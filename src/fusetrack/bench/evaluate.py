@@ -62,9 +62,9 @@ def report_from_errors(errors: np.ndarray, floor_errors: int = 0) -> ErrorReport
 def evaluate_track(
     predicted: FusedTrack,
     truth: list[Landmark],
-    floor_penalty: float = FLOOR_PENALTY_M,
 ) -> ErrorReport:
-    """Per-landmark errors of a predicted track.
+    """Per-landmark errors of a predicted track, ``FLOOR_PENALTY_M`` added
+    per floor of mismatch.
 
     Every truth timestamp must lie inside the predicted grid span, otherwise a
     :class:`CoverageError` lists the offenders. Extra predicted grid points
@@ -89,5 +89,5 @@ def evaluate_track(
     truth_floor = np.asarray([lm.floor for lm in truth])
     planar = np.sqrt(((pos - truth_pos) ** 2).sum(axis=1))
     floor_mismatch = np.abs(floors - truth_floor)
-    errors = planar + floor_penalty * floor_mismatch
+    errors = planar + FLOOR_PENALTY_M * floor_mismatch
     return report_from_errors(errors, floor_errors=int((floor_mismatch > 0).sum()))

@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ConfigError, InsufficientDataError, LogParseError, PipelineError
-from ..features import RAW, magnitude_channels, make_windows
-from ..ingest import parse_logfile, resample_stream
+from ..errors import ConfigError, InsufficientDataError, PipelineError, ValidationError
+from ..features import magnitude_channels, make_windows
+from ..ingest import Landmark, parse_logfile, resample_stream
 from ..labels import (
     PseudoLabeledSample,
     TrackTrajectory,
@@ -29,7 +29,6 @@ from ..labels import (
     generate_pseudo_labels,
 )
 from ..pdr import (
-    INFER_STRIDE,
     TRAIN_STRIDE,
     PdrModel,
     PdrModelConfig,
@@ -45,8 +44,8 @@ from ..tracking import (
     fuse_track,
     project_track,
 )
-from ..wifi import RadioMap, build_radiomap, knn_predict, train_vae, vae_predict
-from .evaluate import FLOOR_PENALTY_M, ErrorReport, evaluate_track, report_from_errors
+from ..wifi import RadioMap, VaeConfig, build_radiomap, knn_predict, train_vae, vae_predict
+from .evaluate import ErrorReport, evaluate_track, report_from_errors
 from .simulate import read_truth_csv
 
 log = logging.getLogger(__name__)
@@ -54,34 +53,28 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class PipelineConfig:
-    """Flat pipeline settings; unknown keys are rejected."""
+    """Flat pipeline settings; unknown keys are rejected.
+
+    The training and fusion defaults are those of :class:`PdrModelConfig`
+    and :class:`FusionConfig`.
+    """
 
     train_logs: list[str] = field(default_factory=list)
     test_logs: list[str] = field(default_factory=list)
     truth_files: list[str] = field(default_factory=list)
     out_dir: str = "out"
     seed: int = 0
-    input_mode: str = RAW
-    arch: str = "cnn"
+    input_mode: str = PdrModelConfig.input_mode
+    arch: str = PdrModelConfig.arch
     wifi_predictor: str = "knn"  # knn | vae
     use_wifi: bool = True
     use_projection: bool = True
-    knn_k: int = 5
-    projection_neighbors: int = 5
     val_track_count: int = 0  # 0: auto (about a fifth of the training tracks)
-    max_epochs: int = 500
-    patience: int = 50
-    batch_size: int = 64
-    lr: float = 1e-3
-    weight_decay: float = 1e-5
-    alpha: float = 1.0
-    train_stride: int = TRAIN_STRIDE
-    infer_stride: int = INFER_STRIDE
-    floor_penalty: float = FLOOR_PENALTY_M
-    sigma_pdr: float = 0.1  # process noise per displacement step, meters
-    fixed_r_sigma: float = 0.0  # ablation: 0 keeps the adaptive measurement noise
+    max_epochs: int = PdrModelConfig.max_epochs
+    patience: int = PdrModelConfig.patience
+    batch_size: int = PdrModelConfig.batch_size
+    sigma_pdr: float = FusionConfig.sigma_pdr
     model_checkpoint: str = ""  # load instead of training when set
-    vae_epochs: int = 300
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
@@ -96,6 +89,12 @@ class PipelineConfig:
             raise ConfigError("pipeline needs train_logs or a model_checkpoint")
         if cfg.wifi_predictor not in ("knn", "vae"):
             raise ConfigError(f"unknown wifi_predictor '{cfg.wifi_predictor}'")
+        for key in ("train_logs", "test_logs"):
+            stems = [Path(p).stem for p in getattr(cfg, key)]
+            repeated = sorted({s for s in stems if stems.count(s) > 1})
+            if repeated:
+                raise ConfigError(f"{key} repeat the file stem(s) {repeated}; "
+                                  "each track is named by its stem")
         return cfg
 
     @classmethod
@@ -134,18 +133,17 @@ class PipelineResult:
 def load_track(path) -> TrackData:
     """Parse and resample one logfile, with yaw and magnitude channels added.
 
-    A malformed line is reported with the file it is in.
+    An input error is re-raised as the same class with the file named.
     """
     try:
         sensor_log, scans, landmarks = parse_logfile(path)
-    except LogParseError as exc:
+        stream = magnitude_channels(ensure_yaw(resample_stream(sensor_log)))
+    except ValidationError as exc:
         if str(path) in str(exc):
             raise
-        named = LogParseError(f"{exc} (in {path})")
-        named.line_no = exc.line_no
+        named = type(exc)(f"{exc} (in {path})")
+        named.__dict__.update(exc.__dict__)
         raise named from exc
-    stream = resample_stream(sensor_log)
-    stream = magnitude_channels(ensure_yaw(stream))
     return TrackData(Path(path).stem, stream, scans, landmarks)
 
 
@@ -157,14 +155,14 @@ def label_track(track: TrackData) -> None:
         track.trajectory = TrackTrajectory(track.landmarks, track.steps, track.activity)
 
 
-def pseudo_label(track: TrackData, stride: int) -> list[PseudoLabeledSample]:
-    """Window a labelled track at ``stride`` and give each window its target."""
-    windows = make_windows(track.stream, stride=stride, source_track=track.name)
+def pseudo_label(track: TrackData) -> list[PseudoLabeledSample]:
+    """Window a labelled track at ``TRAIN_STRIDE`` and give each window its target."""
+    windows = make_windows(track.stream, stride=TRAIN_STRIDE, source_track=track.name)
     return generate_pseudo_labels(
         track.stream, track.landmarks, track.steps, track.activity, windows)
 
 
-def training_split(tracks: list[TrackData], stride: int, n_val: int = 0
+def training_split(tracks: list[TrackData], n_val: int = 0
                    ) -> tuple[list[PseudoLabeledSample], list[PseudoLabeledSample]]:
     """Pseudo-label the tracks that have a trajectory; split them for training.
 
@@ -176,7 +174,7 @@ def training_split(tracks: list[TrackData], stride: int, n_val: int = 0
     labelled = []
     for track in tracks:
         if track.trajectory is not None:
-            samples = pseudo_label(track, stride)
+            samples = pseudo_label(track)
             if samples:
                 labelled.append(samples)
     if not labelled:
@@ -212,13 +210,11 @@ def run_pipeline(config) -> PipelineResult:
         for track in train_tracks:
             label_track(track)
         if not config.model_checkpoint:
-            fit_samples, val_samples = training_split(
-                train_tracks, config.train_stride, config.val_track_count)
+            fit_samples, val_samples = training_split(train_tracks, config.val_track_count)
 
         stage = "train_pdr"
         pdr_cfg = PdrModelConfig(
-            input_mode=config.input_mode, arch=config.arch, alpha=config.alpha,
-            lr=config.lr, weight_decay=config.weight_decay,
+            input_mode=config.input_mode, arch=config.arch,
             batch_size=config.batch_size, patience=config.patience,
             max_epochs=config.max_epochs, rng_seed=config.seed,
         )
@@ -241,23 +237,18 @@ def run_pipeline(config) -> PipelineResult:
                 radiomap = build_radiomap(scans_by_track, trajectories)
                 radiomap.to_csv(out_dir / "radiomap.csv")
                 if config.wifi_predictor == "vae" and config.use_wifi:
-                    from ..wifi import VaeConfig
-                    vae_model = train_vae(radiomap, VaeConfig(
-                        epochs=config.vae_epochs, rng_seed=config.seed))
+                    vae_model = train_vae(radiomap, VaeConfig(rng_seed=config.seed))
 
         stage = "projection_index"
         index = None
         if config.use_projection:
             landmark_lists = [t.landmarks for t in train_tracks if t.landmarks]
-            index = build_projection_index(
-                landmark_lists, radiomap, n_neighbors=config.projection_neighbors)
+            index = build_projection_index(landmark_lists, radiomap)
 
         stage = "fuse"
         fused: dict[str, FusedTrack] = {}
-        for track in test_tracks:
-            preds = predict_displacements(model, track.stream,
-                                          stride=config.infer_stride,
-                                          source_track=track.name)
+        for i, track in enumerate(test_tracks):
+            preds = predict_displacements(model, track.stream, source_track=track.name)
             fixes: list[WifiFix] = []
             if config.use_wifi and radiomap is not None:
                 for scan in track.scans:
@@ -265,23 +256,18 @@ def run_pipeline(config) -> PipelineResult:
                         if vae_model is not None:
                             fix = vae_predict(vae_model, scan, radiomap.ap_ids)
                         else:
-                            fix = knn_predict(radiomap, scan, k=config.knn_k)
+                            fix = knn_predict(radiomap, scan)
                     except InsufficientDataError:
                         continue
                     fixes.append(WifiFix(scan.timestamp, fix.position, fix.sigma,
                                          fix.floor))
             floor_events = (detect_floor_changes(track.stream)
                             if track.stream.has_channel("pressure") else [])
-            fixed_r = config.fixed_r_sigma if config.fixed_r_sigma > 0 else None
-            fusion_cfg = FusionConfig(sigma_pdr=config.sigma_pdr,
-                                      fixed_r_sigma=fixed_r)
+            start = None
             if not config.use_wifi or not fixes:
-                start, floor0, t0 = _start_from_truth(track, config)
-                fusion_cfg = FusionConfig(sigma_pdr=config.sigma_pdr,
-                                          start_position=start, start_time=t0,
-                                          start_floor=floor0)
-                fixes = []
-            fused_track = fuse_track(preds, fixes, floor_events, fusion_cfg)
+                start = _start_from_truth(track, config, i)
+            fused_track = fuse_track(preds, fixes, floor_events,
+                                     FusionConfig(config.sigma_pdr, start))
             if index is not None:
                 fused_track = project_track(index, fused_track)
             fused_track.to_csv(out_dir / f"{track.name}_fused.csv")
@@ -298,8 +284,7 @@ def run_pipeline(config) -> PipelineResult:
                 continue
             span = (fused[track.name].t[0], fused[track.name].t[-1])
             truth = [lm for lm in truth if span[0] <= lm.timestamp <= span[1]]
-            report = evaluate_track(fused[track.name], truth,
-                                    floor_penalty=config.floor_penalty)
+            report = evaluate_track(fused[track.name], truth)
             per_track[track.name] = report
             all_errors.append(report.errors)
             floor_errors += report.floor_errors
@@ -323,16 +308,11 @@ def _truth_for(track: TrackData, config: PipelineConfig, i: int):
     return track.landmarks
 
 
-def _start_from_truth(track: TrackData, config: PipelineConfig):
-    """Start state for WiFi-less runs: first ground-truth point."""
-    truth = None
-    for j, path in enumerate(config.test_logs):
-        if Path(path).stem == track.name:
-            truth = _truth_for(track, config, j)
-            break
+def _start_from_truth(track: TrackData, config: PipelineConfig, i: int) -> Landmark:
+    """Start for WiFi-less runs: the first ground-truth point of test track ``i``."""
+    truth = _truth_for(track, config, i)
     if truth:
-        first = truth[0]
-        return np.array([first.x, first.y]), first.floor, first.timestamp
+        return truth[0]
     raise InsufficientDataError(
         f"WiFi disabled and no ground truth to initialize track {track.name}"
     )

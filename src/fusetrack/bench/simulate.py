@@ -32,6 +32,8 @@ TURN_RATE = math.pi / 2
 PATH_LOSS_EXPONENT = 2.0
 #: receiver sensitivity: weaker readings are not reported
 RSS_DROP_DBM = -105.0
+#: still recording after the last waypoint, seconds
+TAIL_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,6 @@ class SimScenario:
     rng_seed: int = 0
     rate: float = 50.0
     wifi_period: float = 4.0
-    tail_s: float = 1.0  # extra still recording after the last waypoint
 
     def __post_init__(self):
         if self.speed <= 0:
@@ -266,7 +267,7 @@ def simulate_track(scenario: SimScenario) -> SimResult:
     dt = 1.0 / rate
     # recording continues a little past the last waypoint so landmarks are
     # interior to every resampled channel
-    n = int(math.floor((truth.t_end + scenario.tail_s) * rate)) + 1
+    n = int(math.floor((truth.t_end + TAIL_S) * rate)) + 1
     times = np.arange(n) * dt
     noise = scenario.noise
 
@@ -324,7 +325,7 @@ def simulate_track(scenario: SimScenario) -> SimResult:
     # WiFi scans every wifi_period seconds, log-distance path loss with
     # Gaussian shadowing; readings below the sensitivity floor are dropped
     t_scan = scenario.wifi_period / 2.0
-    while t_scan <= truth.t_end + scenario.tail_s:
+    while t_scan <= truth.t_end + TAIL_S:
         pos = truth.position(t_scan)
         fl = truth.floor_continuous(t_scan)
         ts = f"{t_scan:.6f}"

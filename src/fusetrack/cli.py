@@ -22,10 +22,11 @@ from .bench import (
 from .bench.pipeline import TrackData, label_track, load_track, training_split
 from .errors import FusetrackError, PipelineError, ValidationError
 from .features import RAW, RP, magnitude_channels
-from .ingest import parse_logfile, resample_stream
+from .ingest import DEFAULT_RATE_HZ, parse_logfile, resample_stream
 from .pdr import (
+    BILSTM,
+    CNN,
     INFER_STRIDE,
-    TRAIN_STRIDE,
     PdrModel,
     PdrModelConfig,
     build_model,
@@ -75,7 +76,7 @@ def cmd_train_pdr(args) -> int:
         max_epochs=args.epochs, patience=args.patience,
         batch_size=args.batch_size,
     )
-    fit, val = training_split(_load_labeled_tracks(args.logs), TRAIN_STRIDE)
+    fit, val = training_split(_load_labeled_tracks(args.logs))
     model = build_model(cfg)
     model, history = train_pdr(model, fit, val, cfg)
     model.save(args.out)
@@ -130,7 +131,7 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     track = FusedTrack.from_csv(args.pred)
     truth = read_truth_csv(args.truth)
-    report = evaluate_track(track, truth, floor_penalty=args.floor_penalty)
+    report = evaluate_track(track, truth)
     print(report)
     if args.out:
         report.save_json(args.out)
@@ -166,18 +167,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parse", help="parse a logfile into a resampled CSV stream")
     p.add_argument("--log", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--rate", type=float, default=50.0)
+    p.add_argument("--rate", type=float, default=DEFAULT_RATE_HZ)
     p.add_argument("--magnitudes", action="store_true")
     p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("train-pdr", help="train the displacement model")
     p.add_argument("--logs", nargs="+", required=True)
     p.add_argument("--out", required=True, help="model checkpoint path")
-    p.add_argument("--mode", choices=[RAW, RP], default=RAW)
-    p.add_argument("--arch", choices=["cnn", "bilstm"], default="cnn")
-    p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--patience", type=int, default=50)
-    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--mode", choices=[RAW, RP], default=PdrModelConfig.input_mode)
+    p.add_argument("--arch", choices=[CNN, BILSTM], default=PdrModelConfig.arch)
+    p.add_argument("--epochs", type=int, default=PdrModelConfig.max_epochs)
+    p.add_argument("--patience", type=int, default=PdrModelConfig.patience)
+    p.add_argument("--batch-size", type=int, default=PdrModelConfig.batch_size)
     p.add_argument("--history", help="training history CSV path")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train_pdr)
@@ -190,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-wifi", help="train the semi-supervised wifi regressor")
     p.add_argument("--map", required=True, help="radiomap CSV")
     p.add_argument("--out", help="predicted positions CSV")
-    p.add_argument("--epochs", type=int, default=300)
+    p.add_argument("--epochs", type=int, default=VaeConfig.epochs)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train_wifi)
 
@@ -205,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True, help="fused track CSV")
     p.add_argument("--truth", required=True, help="landmarks CSV")
     p.add_argument("--out", help="report JSON path")
-    p.add_argument("--floor-penalty", type=float, default=15.0)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("run", help="run the full pipeline from a config file")

@@ -22,11 +22,11 @@ log = logging.getLogger(__name__)
 
 STILL = "still"
 WALKING = "walking"
-GROUND_TRUTH = "ground_truth"
-PSEUDO = "pseudo"
 
-#: std of acce_mag over one second below which the user counts as standing
+#: std of acce_mag over one window below which the user counts as standing
 TAU_STILL = 0.35
+#: span of one activity window, seconds
+ACTIVITY_WINDOW_S = 1.0
 #: step peak prominence threshold, m/s^2
 STEP_PROMINENCE = 0.8
 #: minimum spacing between step peaks (max cadence 4 Hz)
@@ -70,7 +70,6 @@ class PseudoLabeledSample:
     window: SensorWindow
     delta: np.ndarray
     activity: str
-    provenance: str
 
 
 def ensure_yaw(stream: SensorStream) -> SensorStream:
@@ -94,19 +93,15 @@ def _moving_average(x: np.ndarray, n: int) -> np.ndarray:
     return smoothed / counts
 
 
-def detect_activity(
-    stream: SensorStream,
-    window_s: float = 1.0,
-    tau_still: float = TAU_STILL,
-) -> list[ActivitySegment]:
+def detect_activity(stream: SensorStream) -> list[ActivitySegment]:
     """Partition the track into alternating STILL / WALKING segments.
 
-    Per non-overlapping window, the std of acce_mag below ``tau_still`` marks
-    STILL. Adjacent same-label windows merge; segments shorter than one second
-    are absorbed into their neighbor.
+    Per non-overlapping ``ACTIVITY_WINDOW_S`` window, the std of acce_mag
+    below ``TAU_STILL`` marks STILL. Adjacent same-label windows merge;
+    segments shorter than one second are absorbed into their neighbor.
     """
     mag = stream.channel("acce_mag")
-    n_w = max(1, int(round(window_s * stream.rate)))
+    n_w = max(1, int(round(ACTIVITY_WINDOW_S * stream.rate)))
     labels = []
     bounds = []
     for start in range(0, stream.length, n_w):
@@ -114,10 +109,10 @@ def detect_activity(
         if len(chunk) < n_w and labels:
             # fold the trailing partial window into the previous one
             full = mag[start - n_w:start + len(chunk)]
-            labels[-1] = STILL if np.std(full) < tau_still else WALKING
+            labels[-1] = STILL if np.std(full) < TAU_STILL else WALKING
             bounds[-1] = (bounds[-1][0], stream.end)
             break
-        label = STILL if np.std(chunk) < tau_still else WALKING
+        label = STILL if np.std(chunk) < TAU_STILL else WALKING
         t_a = stream.t0 + start / stream.rate
         t_b = min(stream.end, stream.t0 + (start + n_w) / stream.rate)
         labels.append(label)
@@ -171,8 +166,6 @@ def activity_at(segments: list[ActivitySegment], t: float) -> str:
 def detect_steps(
     stream: SensorStream,
     activity: list[ActivitySegment] | None = None,
-    prominence: float = STEP_PROMINENCE,
-    refractory_s: float = STEP_REFRACTORY_S,
 ) -> list[StepEvent]:
     """Step events: prominent acce_mag peaks inside WALKING segments.
 
@@ -184,8 +177,8 @@ def detect_steps(
         activity = detect_activity(stream)
     n_smooth = max(1, int(round(stream.rate * STEP_SMOOTH_S)))
     filtered = _moving_average(mag, n_smooth)
-    distance = max(1, int(round(refractory_s * stream.rate)))
-    peaks, props = find_peaks(filtered, prominence=prominence, distance=distance)
+    distance = max(1, int(round(STEP_REFRACTORY_S * stream.rate)))
+    peaks, props = find_peaks(filtered, prominence=STEP_PROMINENCE, distance=distance)
     times = stream.t0 + peaks / stream.rate
     events = []
     for t, p, prom in zip(times, peaks, props["prominences"]):
@@ -392,8 +385,7 @@ def generate_pseudo_labels(
     landmarks. The activity label comes from the segment enclosing the window
     center; a nominally still window that actually covers motion beyond
     ``STILL_DELTA_MAX_M`` is relabeled WALKING so still samples always carry
-    near-zero targets. Windows centered within 0.5 s of a landmark count as
-    ground-truth anchored.
+    near-zero targets.
     """
     traj = TrackTrajectory(landmarks, steps, activity, kappa)
     tol = 1e-9
@@ -402,7 +394,6 @@ def generate_pseudo_labels(
             f"landmarks span [{traj.t_start}, {traj.t_end}] outside stream "
             f"[{stream.t0}, {stream.end})"
         )
-    lm_times = traj.times
     samples = []
     skipped = 0
     for w in windows:
@@ -414,9 +405,7 @@ def generate_pseudo_labels(
         label = activity_at(activity, w.t_center)
         if label == STILL and float(np.hypot(*delta)) >= STILL_DELTA_MAX_M:
             label = WALKING
-        near_lm = float(np.min(np.abs(lm_times - w.t_center)))
-        provenance = GROUND_TRUTH if near_lm <= 0.5 else PSEUDO
-        samples.append(PseudoLabeledSample(w, delta, label, provenance))
+        samples.append(PseudoLabeledSample(w, delta, label))
     if skipped:
         log.info("%d windows outside the landmark span were skipped", skipped)
     return samples

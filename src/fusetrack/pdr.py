@@ -26,7 +26,7 @@ from .features import (
     recurrence_matrix,
 )
 from .ingest import SensorStream
-from .labels import WALKING, GROUND_TRUTH, PseudoLabeledSample, detect_steps, ensure_yaw
+from .labels import WALKING, PseudoLabeledSample, detect_steps, ensure_yaw
 from .neuralcore import (
     Adam,
     Bilstm,
@@ -60,36 +60,35 @@ CLASSIC_STRIDE_M = 0.7
 #: windows classified below this walking probability emit a zero delta
 ACTIVITY_GATE = 0.5
 
+#: drop probability of the CNN trunk's two dropout layers
+DROPOUT_RATE = 0.25
+#: norm the BiLSTM parameters' gradient is clipped to during training
+LSTM_GRAD_CLIP = 5.0
+
 
 @dataclass
 class PdrModelConfig:
     input_mode: str = RAW
     arch: str = CNN
     alpha: float = 1.0
-    lr: float = 1e-3
     weight_decay: float = 1e-5
     batch_size: int = 64
     patience: int = 50
     max_epochs: int = 500
-    dropout_rate: float = 0.25
     conv_filters: tuple[int, int, int] = (16, 32, 32)
     dense_units: int = 128
     lstm_hidden: int = 64
     rng_seed: int = 0
-    ground_truth_oversample: int = 1
-    grad_clip: float = 5.0  # applied to BiLSTM parameters during training
 
     def __post_init__(self):
         if self.input_mode not in (RAW, RP):
             raise ConfigError(f"input_mode must be '{RAW}' or '{RP}'")
         if self.arch not in (CNN, BILSTM):
             raise ConfigError(f"arch must be '{CNN}' or '{BILSTM}'")
-        if self.alpha < 0 or self.lr <= 0 or self.batch_size < 1:
-            raise ConfigError("alpha >= 0, lr > 0 and batch_size >= 1 required")
+        if self.alpha < 0 or self.batch_size < 1:
+            raise ConfigError("alpha >= 0 and batch_size >= 1 required")
         if self.patience < 1 or self.max_epochs < 1:
             raise ConfigError("patience and max_epochs must be >= 1")
-        if self.ground_truth_oversample < 1:
-            raise ConfigError("ground_truth_oversample must be >= 1")
 
 
 @dataclass
@@ -120,29 +119,22 @@ def rotate(vectors: np.ndarray, angle) -> np.ndarray:
 class PdrModel:
     """Config plus the underlying two-headed network."""
 
+    #: the config fields a checkpoint header keeps; the rest are defaults
+    _SAVED = ("input_mode", "arch", "alpha", "rng_seed")
+
     def __init__(self, cfg: PdrModelConfig, net: Network):
         self.cfg = cfg
         self.net = net
 
     def save(self, path) -> None:
-        self.net.extra_header["pdr_config"] = {
-            "input_mode": self.cfg.input_mode,
-            "arch": self.cfg.arch,
-            "alpha": self.cfg.alpha,
-            "rng_seed": self.cfg.rng_seed,
-        }
+        self.net.extra_header["pdr_config"] = {k: getattr(self.cfg, k) for k in self._SAVED}
         self.net.save(path)
 
     @classmethod
     def load(cls, path) -> "PdrModel":
         net = Network.load(path)
         stored = net.extra_header.get("pdr_config", {})
-        cfg = PdrModelConfig(
-            input_mode=stored.get("input_mode", RAW),
-            arch=stored.get("arch", CNN),
-            alpha=stored.get("alpha", 1.0),
-            rng_seed=stored.get("rng_seed", 0),
-        )
+        cfg = PdrModelConfig(**{k: stored[k] for k in cls._SAVED if k in stored})
         return cls(cfg, net)
 
     def predict_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,7 +172,7 @@ def build_model(cfg: PdrModelConfig) -> PdrModel:
             elif op[0] == "pool":
                 layer = MaxPool2x2()
             elif op[0] == "drop":
-                layer = Dropout(cfg.dropout_rate)
+                layer = Dropout(DROPOUT_RATE)
             else:
                 layer = Flatten()
             shape = layer.out_shape(shape)
@@ -214,22 +206,15 @@ def prepare_training_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stack samples into (X, body-frame targets, activity labels).
 
-    Requires ``yaw_center`` on every window for the frame rotation;
-    ground-truth anchored samples are repeated ``ground_truth_oversample``
-    times.
+    Requires ``yaw_center`` on every window for the frame rotation.
     """
     xs, targets, labels = [], [], []
     for s in samples:
         if s.window.yaw_center is None:
             raise ValidationError("training windows need yaw_center for frame alignment")
-        repeats = cfg.ground_truth_oversample if s.provenance == GROUND_TRUTH else 1
-        x = window_tensor(s.window, cfg, rp_config)
-        body = rotate(s.delta, -s.window.yaw_center)[0]
-        label = 1 if s.activity == WALKING else 0
-        for _ in range(repeats):
-            xs.append(x)
-            targets.append(body)
-            labels.append(label)
+        xs.append(window_tensor(s.window, cfg, rp_config))
+        targets.append(rotate(s.delta, -s.window.yaw_center)[0])
+        labels.append(1 if s.activity == WALKING else 0)
     if not xs:
         raise ValidationError("no training samples")
     return np.stack(xs), np.asarray(targets), np.asarray(labels, dtype=int)
@@ -286,7 +271,8 @@ def train_pdr(
     cfg: PdrModelConfig | None = None,
     rp_config: RecurrenceConfig | None = None,
 ) -> tuple[PdrModel, TrainHistory]:
-    """Train with Adam on shuffled mini-batches, keeping the best checkpoint.
+    """Train with Adam, at its default learning rate, on shuffled mini-batches,
+    keeping the best checkpoint.
 
     Stops when the validation loss has not improved for ``patience`` epochs
     or at ``max_epochs``. The reported train loss is the running mean of
@@ -303,7 +289,7 @@ def train_pdr(
     params = model.net.params()
     lstm_params = [p for layer in model.net.trunk if isinstance(layer, Bilstm)
                    for p in layer.params()]
-    adam = Adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    adam = Adam(params, weight_decay=cfg.weight_decay)
     stopper = EarlyStopper(cfg.patience)
     history = TrainHistory()
     best_state = model.net.get_state()
@@ -330,8 +316,8 @@ def train_pdr(
                 dlogits = cfg.alpha * cross_entropy_grad(logits, lb)
                 model.net.backward(cache, dreg, dlogits)
                 del cache  # the layer caches go before the next forward builds its own
-                if lstm_params and cfg.grad_clip > 0:
-                    clip_gradient_norm(lstm_params, cfg.grad_clip)
+                if lstm_params:
+                    clip_gradient_norm(lstm_params, LSTM_GRAD_CLIP)
                 adam.step()
                 step += 1
         except DivergenceError as exc:
@@ -391,8 +377,7 @@ def predict_displacements(
     return out
 
 
-def classic_pdr(stream: SensorStream, stride_length: float = CLASSIC_STRIDE_M
-                ) -> list[DisplacementPrediction]:
+def classic_pdr(stream: SensorStream) -> list[DisplacementPrediction]:
     """Step-and-heading baseline: fixed stride along the yaw at each step."""
     stream = ensure_yaw(stream)
     if not stream.has_channel("acce_mag"):
@@ -402,6 +387,6 @@ def classic_pdr(stream: SensorStream, stride_length: float = CLASSIC_STRIDE_M
     out = []
     for step_event in detect_steps(stream):
         heading = float(np.interp(step_event.timestamp, times, yaw))
-        delta = stride_length * np.array([np.cos(heading), np.sin(heading)])
+        delta = CLASSIC_STRIDE_M * np.array([np.cos(heading), np.sin(heading)])
         out.append(DisplacementPrediction(step_event.timestamp, delta, 1.0))
     return out

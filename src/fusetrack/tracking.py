@@ -23,6 +23,10 @@ from .ingest import Landmark
 from .pdr import DisplacementPrediction
 
 _I2 = np.eye(2)
+#: initial position uncertainty, meters
+SIGMA0_M = 5.0
+#: spacing of the fused output grid, seconds
+GRID_PERIOD_S = 0.5
 
 
 @dataclass(frozen=True)
@@ -85,29 +89,19 @@ class WifiFix:
 
 @dataclass
 class FusionConfig:
-    sigma0: float = 5.0  # initial position uncertainty, meters
     sigma_pdr: float = 0.1  # process noise per displacement step, meters
-    grid_period: float = 0.5
-    start_position: np.ndarray | None = None
-    start_time: float | None = None
-    start_floor: int = 0
-    fixed_r_sigma: float | None = None  # ablation: constant measurement noise
+    start: Landmark | None = None  # known start; None waits for the first fix
 
 
 @dataclass
 class FusedTrack:
-    """Fused estimates on an exact ``grid_period`` grid."""
+    """Fused estimates on an exact ``GRID_PERIOD_S`` grid."""
 
     t: np.ndarray
     x: np.ndarray
     y: np.ndarray
     floor: np.ndarray
     ptrace: np.ndarray
-    extrapolated: np.ndarray = None  # grid points back-filled before the first fix
-
-    def __post_init__(self):
-        if self.extrapolated is None:
-            self.extrapolated = np.zeros(len(self.t), dtype=bool)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -156,12 +150,11 @@ def fuse_track(
     """Run the filter over all events in timestamp order.
 
     The state initializes at the first WiFi fix (or at the configured start
-    position) with covariance ``sigma0^2 I``. Displacement deltas before the
-    first fix are buffered and back-filled by reverse integration, flagged as
-    extrapolated. Output is resampled onto the exact grid by linear
-    interpolation of the mean; the floor is a discrete side channel driven by
-    barometer events, falling back to WiFi floor votes when no barometer
-    events exist.
+    landmark) with covariance ``SIGMA0_M^2 I``. Displacement deltas before the
+    first fix are buffered and back-filled by reverse integration. Output is
+    resampled onto the exact grid by linear interpolation of the mean; the
+    floor is a discrete side channel driven by barometer events, falling back
+    to WiFi floor votes when no barometer events exist.
     """
     config = config or FusionConfig()
     if not pdr and not wifi_fixes:
@@ -177,20 +170,17 @@ def fuse_track(
     events.sort(key=lambda e: (e[0], e[1]))
 
     q = config.sigma_pdr ** 2 * _I2
-    p0 = config.sigma0 ** 2 * _I2
+    p0 = SIGMA0_M ** 2 * _I2
     use_wifi_floor = not floor_events and any(f.floor is not None for f in wifi_fixes)
 
     state: KalmanState | None = None
-    if config.start_position is not None:
-        t_init = config.start_time if config.start_time is not None else events[0][0]
-        state = KalmanState(np.asarray(config.start_position, dtype=float),
-                            p0.copy(), config.start_floor, t_init)
-
     timeline: list[tuple[float, np.ndarray, int, float]] = []
     backlog: list[DisplacementPrediction] = []
-    floor_pre = config.start_floor
+    floor_pre = 0
 
-    if state is not None:
+    start = config.start
+    if start is not None:
+        state = KalmanState([start.x, start.y], p0.copy(), start.floor, start.timestamp)
         timeline.append((state.timestamp, state.mean.copy(), state.floor, state.trace))
 
     for t, _, kind, payload in events:
@@ -215,8 +205,7 @@ def fuse_track(
         elif kind == "pdr":
             state = kf_predict(state, payload.delta, q, t)
         else:
-            sigma = config.fixed_r_sigma if config.fixed_r_sigma is not None else payload.sigma
-            r = max(sigma, 1e-3) ** 2 * _I2
+            r = max(payload.sigma, 1e-3) ** 2 * _I2
             state = kf_update(state, payload.position, r, t)
             if use_wifi_floor and payload.floor is not None:
                 state = replace(state, floor=int(payload.floor))
@@ -251,7 +240,7 @@ def fuse_track(
     floors = np.asarray([e[2] for e in timeline], dtype=int)
     traces = np.asarray([e[3] for e in timeline])
 
-    g = config.grid_period
+    g = GRID_PERIOD_S
     k0 = math.ceil(times[0] / g - 1e-9)
     k1 = math.floor(times[-1] / g + 1e-9)
     if k1 < k0:
@@ -262,9 +251,7 @@ def fuse_track(
     y = np.interp(grid, times, means[:, 1])
     ptrace = np.interp(grid, times, traces)
     idx = np.clip(np.searchsorted(times, grid, side="right") - 1, 0, len(times) - 1)
-    floor = floors[idx]
-    extrapolated = grid < t_init - 1e-9
-    return FusedTrack(grid, x, y, floor, ptrace, extrapolated)
+    return FusedTrack(grid, x, y, floors[idx], ptrace)
 
 
 @dataclass
@@ -290,7 +277,6 @@ class ProjectionIndex:
 def build_projection_index(
     landmark_lists: list[list[Landmark]],
     radiomap=None,
-    n_neighbors: int = 5,
 ) -> ProjectionIndex:
     """Reference set: training landmarks plus labeled fingerprint positions.
 
@@ -307,7 +293,7 @@ def build_projection_index(
     if not rows:
         raise IndexEmptyError("no reference points for the projection index")
     unique = sorted({(round(x, 3), round(y, 3), int(fl)) for x, y, fl in rows})
-    return ProjectionIndex(np.asarray(unique, dtype=float), n_neighbors=n_neighbors)
+    return ProjectionIndex(np.asarray(unique, dtype=float))
 
 
 def _select_neighbors(index: ProjectionIndex, p: np.ndarray, floor: int):
@@ -366,5 +352,4 @@ def project_track(index: ProjectionIndex, track: FusedTrack) -> FusedTrack:
         xs.append(px)
         ys.append(py)
     return FusedTrack(track.t.copy(), np.asarray(xs), np.asarray(ys),
-                      track.floor.copy(), track.ptrace.copy(),
-                      track.extrapolated.copy())
+                      track.floor.copy(), track.ptrace.copy())

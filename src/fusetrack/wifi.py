@@ -37,6 +37,9 @@ from .neuralcore import (
 
 log = logging.getLogger(__name__)
 
+#: share of the labeled fingerprints held out to calibrate the VAE's sigma
+VAE_VAL_FRACTION = 0.2
+
 
 def normalize_rss(rss: np.ndarray) -> np.ndarray:
     """Map dBm in [-110, 0] onto [0, 1]."""
@@ -227,7 +230,6 @@ class VaeConfig:
     lr: float = 1e-3
     epochs: int = 300
     rng_seed: int = 0
-    val_fraction: float = 0.2
 
     def __post_init__(self):
         if self.latent_dim < 2:
@@ -389,7 +391,7 @@ def train_vae(radiomap: RadioMap, cfg: VaeConfig | None = None) -> WifiVae:
     labeled_idx = np.flatnonzero(labeled_mask)
     rng = np.random.default_rng((cfg.rng_seed, 99))
     shuffled = rng.permutation(labeled_idx)
-    n_val = max(1, int(round(cfg.val_fraction * len(labeled_idx)))) \
+    n_val = max(1, int(round(VAE_VAL_FRACTION * len(labeled_idx)))) \
         if len(labeled_idx) >= 5 else 0
     val_idx = shuffled[:n_val]
     train_mask = labeled_mask.copy()

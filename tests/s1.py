@@ -1,110 +1,31 @@
 """Scenario S1: the 5-minute corridor-loop benchmark used by the acceptance
 suite. One seed produces 13 simulated tracks (10 train, 3 held out) over a
 fixed 20-AP deployment; the full pipeline trains a RAW/CNN displacement model
-and is evaluated with WiFi fusion and projection on and off."""
+and is evaluated with WiFi fusion and projection on and off.
+
+The generator and the settings are the benchmark's (``perfbench.workloads``),
+so the acceptance gates and the benchmark run on the same files."""
 
 from pathlib import Path
 
 import numpy as np
 
-from fusetrack.bench import (
-    AccessPoint,
-    NoiseSpec,
-    SimScenario,
-    Waypoint,
-    run_pipeline,
-    simulate_track,
-)
+from fusetrack.bench import run_pipeline
+from perfbench.workloads import S1_SETTINGS, ap_layout, generate_s1, s1_scenario
 
-#: rectangle loop, 8 waypoints, 200 m perimeter
-_CORNERS = [
-    (0.0, 0.0), (30.0, 0.0), (60.0, 0.0), (60.0, 20.0),
-    (60.0, 40.0), (30.0, 40.0), (0.0, 40.0), (0.0, 20.0),
-]
-
-TRAIN_TRACKS = 10
-TEST_TRACKS = 3
-
-#: training budget sized for a single laptop-class core; the filter's
-#: process noise is inflated slightly over its default because the learned
-#: displacement errors are correlated in time, not white
-PIPELINE_OVERRIDES = dict(max_epochs=30, patience=10, batch_size=64,
-                          sigma_pdr=0.13)
-
-
-def ap_layout(seed: int) -> list[AccessPoint]:
-    """20 access points spaced along the corridor loop, as deployed indoors."""
-    rng = np.random.default_rng((seed, 77))
-    loop = _CORNERS + [_CORNERS[0]]
-    seg = [np.hypot(b[0] - a[0], b[1] - a[1]) for a, b in zip(loop, loop[1:])]
-    perimeter = sum(seg)
-    aps = []
-    for k in range(20):
-        s = (k + 0.5) * perimeter / 20
-        for (a, b), length in zip(zip(loop, loop[1:]), seg):
-            if s <= length:
-                frac = s / length
-                x = a[0] + frac * (b[0] - a[0]) + float(rng.uniform(-1.5, 1.5))
-                y = a[1] + frac * (b[1] - a[1]) + float(rng.uniform(-1.5, 1.5))
-                aps.append(AccessPoint(x, y, 0, -40.0))
-                break
-            s -= length
-    return aps
-
-
-def s1_scenario(seed: int, track: int, aps: list[AccessPoint]) -> SimScenario:
-    rng = np.random.default_rng((seed, track))
-    start = int(rng.integers(0, len(_CORNERS)))
-    corners = _CORNERS[start:] + _CORNERS[:start]
-    if track % 2 == 1:
-        corners = corners[::-1]
-    corners = corners + [corners[0], corners[1]]  # close the loop, keep walking
-    wps = []
-    for i, (x, y) in enumerate(corners):
-        dwell = float(rng.uniform(2.0, 6.0))
-        # re-visited waypoints are nudged so consecutive points always differ
-        wps.append(Waypoint(x + 0.02 * (i // len(_CORNERS)), y, 0, dwell))
-    # walking speed follows gait: cadence times a mildly varying stride, so
-    # the displacement model can actually infer speed from the accelerometer
-    cadence = float(rng.uniform(1.6, 2.0))
-    stride = float(rng.uniform(0.58, 0.62))
-    return SimScenario(
-        waypoints=wps,
-        speed=cadence * stride,
-        step_frequency=cadence,
-        ap_layout=aps,
-        # indoor heading estimates wander; this is the drift the WiFi
-        # corrections are there to fix
-        noise=NoiseSpec(yaw_drift_rate=0.004),
-        rng_seed=int(rng.integers(0, 2**31)),
-    )
+__all__ = ["S1_SETTINGS", "ap_layout", "endpoint_errors", "generate_s1",
+           "generate_seed_tracks", "run_seed", "s1_scenario"]
 
 
 def generate_seed_tracks(seed: int, out_dir: Path) -> dict:
     """Simulate the 13 tracks of one seed; returns pipeline path lists."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    aps = ap_layout(seed)
-    train_logs, test_logs, truth_files = [], [], []
-    for k in range(TRAIN_TRACKS + TEST_TRACKS):
-        result = simulate_track(s1_scenario(seed, k, aps))
-        if k < TRAIN_TRACKS:
-            path = out_dir / f"train{k:02d}.log"
-            result.write(path)
-            train_logs.append(str(path))
-        else:
-            path = out_dir / f"test{k - TRAIN_TRACKS}.log"
-            truth = out_dir / f"test{k - TRAIN_TRACKS}_truth.csv"
-            result.write(path, truth)
-            test_logs.append(str(path))
-            truth_files.append(str(truth))
-    return {"train_logs": train_logs, "test_logs": test_logs,
-            "truth_files": truth_files}
+    return generate_s1(seed, out_dir).paths
 
 
 def run_seed(seed: int, work_dir: Path) -> dict:
     """Full pipeline plus the two ablations; the model is trained once."""
     paths = generate_seed_tracks(seed, work_dir / f"seed{seed}")
-    base = dict(paths, seed=seed, **PIPELINE_OVERRIDES)
+    base = dict(paths, seed=seed, **S1_SETTINGS)
     full = run_pipeline(dict(base, out_dir=str(work_dir / f"seed{seed}" / "full")))
     checkpoint = str(work_dir / f"seed{seed}" / "full" / "pdr_model.tfnn")
     no_wifi = run_pipeline(dict(base, out_dir=str(work_dir / f"seed{seed}" / "nowifi"),

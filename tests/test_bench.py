@@ -1,6 +1,8 @@
 """Simulator and metric tests: the simulator is itself checked against
 analytic expectations so it can serve as the oracle for end-to-end runs."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -173,7 +175,7 @@ class TestEvaluateTrack:
     def test_floor_penalty(self):
         track = track_on_grid([(0.0, 0.0)] * 5)
         truth = [Landmark(1.0, 0.0, 0.0, 1)]
-        report = evaluate_track(track, truth, floor_penalty=15.0)
+        report = evaluate_track(track, truth)
         assert report.mae == pytest.approx(15.0)
         assert report.floor_errors == 1
 
@@ -206,3 +208,34 @@ class TestEvaluateTrack:
             r = report_from_errors(errors)
             assert r.q50 <= r.q75 <= r.q90
             assert errors.min() - 1e-12 <= r.mae <= errors.max() + 1e-12
+
+
+#: sha256 of the seed-0 S1 inputs, as the acceptance suite's own generator
+#: wrote them before it became the benchmark's (``perfbench.workloads``)
+S1_SEED0_SHA256 = {
+    "test0.log": "40679eab5dbac33395d891537d1ebdfe7132f0d5f809c338e5f250844831b964",
+    "test0_truth.csv": "1eb9cde8dfc3650a3114d011d01cff999825706c127b6c4c0c7085acf5d442bc",
+    "test1.log": "e775080b964ddbb3ddaa4c7e1d4dc6e957c05350da2785f7e9aba9a92c3d5b1e",
+    "test1_truth.csv": "e0d22ec7f77f0613d1bdef846e91cca1ffe7aea130ffc9fb75f326b5b15d2dc2",
+    "test2.log": "25b53836958ba01553c2b51fcd32cd04546c73103af95583004571a742cabad7",
+    "test2_truth.csv": "0400df97680af50d99cdb96ca203a630e0ade050ab36ed37222d35ba6916bc8c",
+    "train00.log": "23093a01bab1f96f142df24893792abeb6aa9cab3f850de752b0d38094061ec5",
+    "train01.log": "fbf7e250b313197c9c0de0ef72a437d66002f93115c97be80a109db81fc21597",
+    "train02.log": "b3e37e6810372240d4098dc8c9118684cd9d4f4f11ceb70cdf970dd64066c5eb",
+    "train03.log": "38c616a5808b26fc2e5ee01c7da02e5a466e606b385c038babcae057634189e5",
+    "train04.log": "e8c896c6213d288e084acf1e5400930391375dc86e96c945383cfd43d0885429",
+    "train05.log": "db488f729cacd3ac53be2d6218e2dd9c8d7fc2c99f25bbb571fefff3d3751e10",
+    "train06.log": "4fbee85eaf913decd6c7eac75e377a2d96983424e211a8851260c9cb927fb629",
+    "train07.log": "ffc366bb7056e1c11d42fe104d027450612302778a34c1b5e366966f89ab1845",
+    "train08.log": "e8a867ff8181395639611903100018dd588d86b6f55d239c9898f54d2327236a",
+    "train09.log": "f4cdd8668ec3f99930481419ca380f36ef6e83b25603d9f6dd5b2f177f9ef9a0",
+}
+
+
+def test_s1_seed0_inputs_are_pinned(tmp_path):
+    import s1
+
+    s1.generate_seed_tracks(0, tmp_path)
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert digests == S1_SEED0_SHA256

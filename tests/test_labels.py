@@ -9,8 +9,6 @@ from fusetrack.ingest import Landmark, SensorStream
 from fusetrack.labels import (
     STILL,
     WALKING,
-    GROUND_TRUTH,
-    PSEUDO,
     ActivitySegment,
     StepEvent,
     TrackTrajectory,
@@ -309,13 +307,6 @@ class TestGeneratePseudoLabels:
         for s in samples:
             np.testing.assert_allclose(s.delta, [0.0, 0.0], atol=1e-12)
             assert s.activity == STILL
-
-    def test_provenance_near_landmarks(self):
-        stream, lms, steps, activity, windows = self.make_track()
-        samples = generate_pseudo_labels(stream, lms, steps, activity, windows)
-        tagged = {round(s.window.t_center, 2): s.provenance for s in samples}
-        assert tagged[0.5] == GROUND_TRUTH  # within 0.5 s of the 0.0 landmark
-        assert tagged[4.5] == PSEUDO
 
     def test_landmarks_outside_stream_rejected(self):
         stream, lms, steps, activity, windows = self.make_track()

@@ -6,7 +6,7 @@ import pytest
 from fusetrack.errors import ConfigError, ValidationError
 from fusetrack.features import RAW, RP, SensorWindow, magnitude_channels
 from fusetrack.ingest import SensorStream
-from fusetrack.labels import WALKING, PSEUDO, PseudoLabeledSample
+from fusetrack.labels import WALKING, PseudoLabeledSample
 from fusetrack.pdr import (
     CLASSIC_STRIDE_M,
     EarlyStopper,
@@ -34,7 +34,7 @@ def make_sample(rng, delta=(0.0, 0.0), activity=WALKING, yaw=0.0, data=None):
     if data is None:
         data = rng.normal(0, 1, (12, 50))
     w = SensorWindow(mode=RAW, data=data, t_center=1.0, yaw_center=yaw)
-    return PseudoLabeledSample(w, np.asarray(delta, dtype=float), activity, PSEUDO)
+    return PseudoLabeledSample(w, np.asarray(delta, dtype=float), activity)
 
 
 def walking_stream(duration=20.0, speed=1.0, yaw=0.0, seed=0):
@@ -203,14 +203,6 @@ class TestTrainPdr:
         s = make_sample(rng, delta=(1.0, 0.0), yaw=np.pi / 2)
         _, targets, _ = prepare_training_arrays([s], fast_cfg())
         np.testing.assert_allclose(targets[0], [0.0, -1.0], atol=1e-12)
-
-    def test_ground_truth_oversampling(self):
-        rng = np.random.default_rng(6)
-        s1 = make_sample(rng)
-        s2 = make_sample(rng)
-        s2.provenance = "ground_truth"
-        x, _, _ = prepare_training_arrays([s1, s2], fast_cfg(ground_truth_oversample=3))
-        assert len(x) == 4
 
 
 def rig_activity_head(model, walking: bool):

@@ -16,7 +16,13 @@ from fusetrack.bench import (
     simulate_track,
 )
 from fusetrack.bench import pipeline
-from fusetrack.errors import ConfigError, InsufficientDataError, LogParseError, PipelineError
+from fusetrack.errors import (
+    ConfigError,
+    InsufficientDataError,
+    LogParseError,
+    MissingChannelError,
+    PipelineError,
+)
 from fusetrack.features import magnitude_channels
 from fusetrack.ingest import parse_logfile, resample_stream
 from fusetrack.labels import ensure_yaw
@@ -93,9 +99,7 @@ class TestPipeline:
         from fusetrack.bench.simulate import read_truth_csv
 
         truth = read_truth_csv(mini_tracks["truth_files"][0])
-        manual = fuse_track(preds, [], [], FusionConfig(
-            start_position=np.array([truth[0].x, truth[0].y]),
-            start_time=truth[0].timestamp, start_floor=truth[0].floor))
+        manual = fuse_track(preds, [], [], FusionConfig(start=truth[0]))
         np.testing.assert_allclose(track.positions(), manual.positions(),
                                    atol=1e-6)
 
@@ -135,7 +139,7 @@ class TestPipeline:
 
     def test_vae_predictor_pipeline_runs(self, mini_run, mini_tracks):
         cfg, _ = mini_run
-        ablated = dict(cfg, wifi_predictor="vae", vae_epochs=50,
+        ablated = dict(cfg, wifi_predictor="vae",
                        out_dir=str(mini_tracks["dir"] / "vae"),
                        model_checkpoint=str(Path(cfg["out_dir"]) / "pdr_model.tfnn"))
         result = run_pipeline(ablated)
@@ -186,6 +190,14 @@ class TestPipeline:
         with pytest.raises(ConfigError, match="save_dataset_cache"):
             PipelineConfig.from_dict({"test_logs": ["x"], "train_logs": ["y"],
                                       "save_dataset_cache": True})
+
+    @pytest.mark.parametrize("key", [
+        "knn_k", "projection_neighbors", "lr", "weight_decay", "alpha",
+        "train_stride", "infer_stride", "floor_penalty", "fixed_r_sigma", "vae_epochs",
+    ])
+    def test_removed_config_key_rejected(self, key):
+        with pytest.raises(ConfigError, match=key):
+            PipelineConfig.from_dict({"test_logs": ["x"], "train_logs": ["y"], key: 1})
 
     def test_unknown_config_key_rejected(self):
         with pytest.raises(ConfigError, match="bogus"):
@@ -315,6 +327,40 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: stage 'ingest' failed: line 1: malformed value 2")
         assert str(bad) in err
+
+    def test_missing_channel_in_run_names_its_file(self, mini_tracks, tmp_path, capsys):
+        bad = tmp_path / "acce_only.log"
+        bad.write_text("ACCE;1.0;1.0;0;0;9.8\nACCE;1.02;1.02;0;0;9.8\n", encoding="utf-8")
+        config = {"train_logs": [mini_tracks["train_logs"][0], str(bad)],
+                  "test_logs": mini_tracks["test_logs"], "out_dir": str(tmp_path / "out")}
+        with pytest.raises(PipelineError) as err:
+            run_pipeline(config)
+        assert type(err.value.cause) is MissingChannelError
+        assert str(err.value.cause) == \
+            f"required channel 'gyro_x' has no records (in {bad})"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["train_logs", "test_logs"])
+    def test_repeated_stem_in_run_exits_2(self, mini_tracks, tmp_path, capsys, key):
+        source = Path(mini_tracks[key][0])
+        copies = []
+        for folder in ("a", "b"):
+            (tmp_path / folder).mkdir()
+            copies.append(str(tmp_path / folder / source.name))
+            Path(copies[-1]).write_bytes(source.read_bytes())
+        config = dict(train_logs=mini_tracks["train_logs"][:2],
+                      test_logs=mini_tracks["test_logs"],
+                      truth_files=mini_tracks["truth_files"] * 2,
+                      out_dir=str(tmp_path / "out"), max_epochs=2, patience=2)
+        config[key] = copies
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"{key} repeat the file stem(s) ['{source.stem}']" in err
 
     @pytest.mark.parametrize("floor", ["nan", "inf", "-inf"])
     def test_non_finite_posi_floor_exits_2(self, tmp_path, capsys, floor):

@@ -22,6 +22,7 @@ from fusetrack.tracking import (
 )
 
 I2 = np.eye(2)
+ORIGIN = Landmark(0.0, 0.0, 0.0, 0)
 
 
 def state(mean=(0.0, 0.0), cov=None, floor=0, t=0.0):
@@ -95,7 +96,7 @@ def pdr_seq(deltas, t0=0.5, dt=0.5):
 class TestFuseTrack:
     def test_predict_only_equals_integrated_pdr(self):
         deltas = [(0.5, 0.0)] * 20
-        cfg = FusionConfig(start_position=np.zeros(2), start_time=0.0)
+        cfg = FusionConfig(start=ORIGIN)
         track = fuse_track(pdr_seq(deltas), [], [], cfg)
         # at t = 10 the filter has integrated all 20 deltas
         np.testing.assert_allclose(track.position_at(10.0)[0], [10.0, 0.0],
@@ -105,7 +106,7 @@ class TestFuseTrack:
         deltas = [(0.1, 0.0)] * 21  # events at 0.0, 0.51, ..., 10.2
         preds = [DisplacementPrediction(i * 0.51, np.array([0.1, 0.0]), 1.0)
                  for i in range(21)]
-        cfg = FusionConfig(start_position=np.zeros(2), start_time=0.0)
+        cfg = FusionConfig(start=ORIGIN)
         track = fuse_track(preds, [], [], cfg)
         assert len(track) == 21
         np.testing.assert_allclose(track.t, np.arange(21) * 0.5, atol=1e-12)
@@ -121,16 +122,15 @@ class TestFuseTrack:
         fixes = [WifiFix(2.0, np.array([10.0, 0.0]), 1.0)]
         track = fuse_track(preds, fixes, [])
         assert track.t[0] == pytest.approx(0.5)
-        assert track.extrapolated[0]
-        assert not track.extrapolated[-1]
-        # reverse integration: position at 0.25 is fix minus the deltas in
-        # (0.25, 2.0] which is 3 x 0.5 within the covered span
+        # reverse integration from the fix: 8.0 m at 0.25 s and 8.5 m at
+        # 0.75 s, so the first grid point lies halfway
+        np.testing.assert_allclose(track.position_at(0.5)[0], [8.25, 0.0], atol=1e-9)
         early = track.position_at(0.75)[0]
         assert early[0] < 10.0
 
     def test_floor_events_advance_floor(self):
         preds = pdr_seq([(0.0, 0.0)] * 40)
-        cfg = FusionConfig(start_position=np.zeros(2), start_time=0.0)
+        cfg = FusionConfig(start=ORIGIN)
         track = fuse_track(preds, [], [(5.0, 1), (15.0, -2)], cfg)
         assert track.floor_at(2.0)[0] == 0
         assert track.floor_at(7.0)[0] == 1
@@ -155,18 +155,6 @@ class TestFuseTrack:
         t2 = fuse_track(list(reversed(preds)), list(reversed(fixes)), [])
         np.testing.assert_array_equal(t1.positions(), t2.positions())
 
-    def test_fixed_r_ablation_flag(self):
-        preds = pdr_seq([(0.0, 0.0)] * 20)
-        fixes = [WifiFix(1.0 + i, np.array([1.0, 1.0]), 100.0) for i in range(8)]
-        base = dict(start_position=np.zeros(2), start_time=0.0)
-        adaptive = fuse_track(preds, fixes, [], FusionConfig(**base))
-        forced = fuse_track(preds, fixes, [],
-                            FusionConfig(**base, fixed_r_sigma=0.5))
-        # overriding the huge reported sigma pulls the track onto the fixes
-        d_forced = np.hypot(*(forced.positions()[-1] - [1.0, 1.0]))
-        d_adaptive = np.hypot(*(adaptive.positions()[-1] - [1.0, 1.0]))
-        assert d_forced < d_adaptive
-
     def test_convergence_with_enough_fixes(self):
         # honest convergence check: with near-zero process noise (the user
         # really is stationary) 60 sigma-3 fixes average the error away;
@@ -186,7 +174,7 @@ class TestFuseTrack:
 
     def test_csv_roundtrip(self, tmp_path):
         preds = pdr_seq([(0.5, 0.2)] * 8)
-        cfg = FusionConfig(start_position=np.zeros(2), start_time=0.0)
+        cfg = FusionConfig(start=ORIGIN)
         track = fuse_track(preds, [], [], cfg)
         path = tmp_path / "fused.csv"
         track.to_csv(path)
@@ -273,7 +261,7 @@ class TestProjection:
         idx = index_of([(0.0, 0.0, 0), (1.0, 0.0, 0), (2.0, 0.0, 0),
                         (3.0, 0.0, 0), (4.0, 0.0, 0)], n_neighbors=3)
         preds = pdr_seq([(0.5, 0.1)] * 8)
-        cfg = FusionConfig(start_position=np.zeros(2), start_time=0.0)
+        cfg = FusionConfig(start=ORIGIN)
         track = fuse_track(preds, [], [], cfg)
         projected = project_track(idx, track)
         np.testing.assert_array_equal(projected.t, track.t)
