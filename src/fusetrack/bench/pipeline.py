@@ -157,7 +157,7 @@ def label_track(track: TrackData) -> None:
 
 def pseudo_label(track: TrackData) -> list[PseudoLabeledSample]:
     """Window a labelled track at ``TRAIN_STRIDE`` and give each window its target."""
-    windows = make_windows(track.stream, stride=TRAIN_STRIDE, source_track=track.name)
+    windows = make_windows(track.stream, stride=TRAIN_STRIDE)
     return generate_pseudo_labels(
         track.stream, track.landmarks, track.steps, track.activity, windows)
 
@@ -248,7 +248,7 @@ def run_pipeline(config) -> PipelineResult:
         stage = "fuse"
         fused: dict[str, FusedTrack] = {}
         for i, track in enumerate(test_tracks):
-            preds = predict_displacements(model, track.stream, source_track=track.name)
+            preds = predict_displacements(model, track.stream)
             fixes: list[WifiFix] = []
             if config.use_wifi and radiomap is not None:
                 for scan in track.scans:

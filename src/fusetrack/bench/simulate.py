@@ -78,8 +78,13 @@ class SimScenario:
     wifi_period: float = 4.0
 
     def __post_init__(self):
-        if self.speed <= 0:
-            raise ConfigError(f"speed must be positive, got {self.speed}")
+        for key in ("speed", "rate", "wifi_period"):
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
+        if not isinstance(self.rng_seed, int) or self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be an integer >= 0, got {self.rng_seed!r}")
+        if min(vars(self.noise).values()) < 0:
+            raise ConfigError("noise levels must be >= 0")
         for a, b in zip(self.waypoints, self.waypoints[1:]):
             if (a.x, a.y, a.floor) == (b.x, b.y, b.floor):
                 raise ConfigError("consecutive waypoints must differ")
@@ -98,16 +103,49 @@ class SimScenario:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimScenario":
+        """The scenario of a :meth:`to_dict` document; missing keys take their
+        defaults. An unknown key, a value that is not a number or a malformed
+        waypoint or AP row raises :class:`ConfigError` naming it."""
+        scalars = _numbers(d, cls, "scenario", rows=("waypoints", "ap_layout", "noise"))
+        if "waypoints" not in d:
+            raise ConfigError("scenario needs 'waypoints'")
         return cls(
-            waypoints=[Waypoint(*w) for w in d["waypoints"]],
-            speed=d.get("speed", 1.0),
-            step_frequency=d.get("step_frequency", 1.8),
-            ap_layout=[AccessPoint(*a) for a in d.get("ap_layout", [])],
-            noise=NoiseSpec(**d.get("noise", {})),
-            rng_seed=d.get("rng_seed", 0),
-            rate=d.get("rate", 50.0),
-            wifi_period=d.get("wifi_period", 4.0),
+            waypoints=_rows(d["waypoints"], Waypoint, "waypoints"),
+            ap_layout=_rows(d.get("ap_layout", []), AccessPoint, "ap_layout"),
+            noise=NoiseSpec(**_numbers(d.get("noise", {}), NoiseSpec, "scenario noise")),
+            **scalars,
         )
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _numbers(d, kind, what: str, rows: tuple = ()) -> dict:
+    """The entries of ``d`` that are fields of ``kind``, outside ``rows``;
+    each must be a number."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {d!r}")
+    unknown = set(d) - set(kind.__dataclass_fields__)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    out = {k: v for k, v in d.items() if k not in rows}
+    for k, v in out.items():
+        if not _is_number(v):
+            raise ConfigError(f"{what} key '{k}' must be a number, got {v!r}")
+    return out
+
+
+def _rows(rows, kind, key: str) -> list:
+    """Each row of ``key`` as a ``kind``: a list of its first 2 to all fields."""
+    n = len(kind.__dataclass_fields__)
+    if not isinstance(rows, list):
+        raise ConfigError(f"scenario key '{key}' must be a list of rows, got {rows!r}")
+    for i, row in enumerate(rows):
+        if not (isinstance(row, (list, tuple)) and 2 <= len(row) <= n
+                and all(map(_is_number, row))):
+            raise ConfigError(f"{key}[{i}] must be a list of 2 to {n} numbers, got {row!r}")
+    return [kind(*row) for row in rows]
 
 
 class GroundTruth:

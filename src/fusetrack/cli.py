@@ -20,7 +20,7 @@ from .bench import (
     simulate_track,
 )
 from .bench.pipeline import TrackData, label_track, load_track, training_split
-from .errors import FusetrackError, PipelineError, ValidationError
+from .errors import ConfigError, FusetrackError, PipelineError, ValidationError
 from .features import RAW, RP, magnitude_channels
 from .ingest import DEFAULT_RATE_HZ, parse_logfile, resample_stream
 from .pdr import (
@@ -49,7 +49,11 @@ def _load_labeled_tracks(paths) -> list[TrackData]:
 
 def cmd_simulate(args) -> int:
     with open(args.scenario, encoding="utf-8") as fh:
-        scenario = SimScenario.from_dict(json.load(fh))
+        try:
+            d = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"invalid scenario JSON: {exc}") from exc
+    scenario = SimScenario.from_dict(d)
     if args.seed is not None:
         scenario.rng_seed = args.seed
     result = simulate_track(scenario)
@@ -180,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patience", type=int, default=PdrModelConfig.patience)
     p.add_argument("--batch-size", type=int, default=PdrModelConfig.batch_size)
     p.add_argument("--history", help="training history CSV path")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=PdrModelConfig.rng_seed)
     p.set_defaults(func=cmd_train_pdr)
 
     p = sub.add_parser("build-radiomap", help="build a radiomap from training logs")
@@ -192,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True, help="radiomap CSV")
     p.add_argument("--out", help="predicted positions CSV")
     p.add_argument("--epochs", type=int, default=VaeConfig.epochs)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=VaeConfig.rng_seed)
     p.set_defaults(func=cmd_train_wifi)
 
     p = sub.add_parser("predict", help="predict displacements for a logfile")

@@ -58,18 +58,16 @@ class SensorWindow:
     """One model input frame.
 
     ``data`` is (12, width) in RAW mode or (width, width) in RP mode.
-    ``span_s`` is the duration covered by the window and ``stride_s`` the
-    spacing to the next window; both are carried so downstream labeling knows
-    which time span a displacement target should cover. ``yaw_center`` is the
-    device heading at the center sample when the source stream had one.
+    ``stride_s`` is the spacing to the next window, carried so downstream
+    labeling knows which time span a displacement target should cover.
+    ``yaw_center`` is the device heading at the center sample when the source
+    stream had one.
     """
 
     mode: str
     data: np.ndarray
     t_center: float
-    source_track: str = ""
     offset: int = 0
-    span_s: float = 1.0
     stride_s: float = 1.0
     yaw_center: float | None = None
 
@@ -92,7 +90,6 @@ def make_windows(
     stream: SensorStream,
     width: int = WINDOW_WIDTH,
     stride: int | None = None,
-    source_track: str = "",
 ) -> list[SensorWindow]:
     """Slide a window of ``width`` samples over the stream at ``stride``.
 
@@ -116,7 +113,6 @@ def make_windows(
     rows = np.stack([stream.channel(name) for name in ROW_ORDER])
     yaw = stream.channels.get("yaw")
     windows = []
-    span_s = width / stream.rate
     stride_s = stride / stream.rate
     for offset in range(0, n - width + 1, stride):
         data = rows[:, offset:offset + width].copy()
@@ -127,9 +123,7 @@ def make_windows(
                 mode=RAW,
                 data=data,
                 t_center=t_center,
-                source_track=source_track,
                 offset=offset,
-                span_s=span_s,
                 stride_s=stride_s,
                 yaw_center=yaw_center,
             )

@@ -26,7 +26,7 @@ from .losses import (
     softmax,
     total_loss,
 )
-from .network import Network
+from .network import Module, Network
 from .optim import Adam, clip_gradient_norm
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "GradCheckReport",
     "Layer",
     "MaxPool2x2",
+    "Module",
     "Network",
     "Param",
     "Relu",

@@ -14,13 +14,6 @@ from typing import Callable
 import numpy as np
 
 from .layers import Param
-from .losses import (
-    cross_entropy_grad,
-    cross_entropy_loss,
-    l2_displacement_grad,
-    l2_displacement_loss,
-    total_loss,
-)
 
 
 @dataclass
@@ -96,31 +89,19 @@ def gradient_check_network(
     seed: int = 0,
     tolerance: float = 1e-4,
 ) -> GradCheckReport:
-    """Check a Network's backward pass against finite differences.
+    """Check the gradient of a Network's training objective (``Network.loss``)
+    against finite differences.
 
     Runs in training mode with the dropout mask frozen by reseeding the rng
     identically for every forward evaluation, so dropout's backward path is
     itself under test.
     """
 
-    def loss_fn() -> float:
+    def objective(grad: bool = False) -> float:
         rng = np.random.default_rng(dropout_seed)
-        reg, logits, _ = net.forward(x, training=True, rng=rng)
-        return total_loss(
-            l2_displacement_loss(reg, reg_targets),
-            cross_entropy_loss(logits, labels),
-            alpha,
-        )
-
-    def grad_fn() -> None:
-        rng = np.random.default_rng(dropout_seed)
-        reg, logits, cache = net.forward(x, training=True, rng=rng)
-        net.zero_grad()
-        dreg = l2_displacement_grad(reg, reg_targets)
-        dlogits = alpha * cross_entropy_grad(logits, labels)
-        net.backward(cache, dreg, dlogits)
+        return net.loss(x, reg_targets, labels, alpha, training=True, rng=rng, grad=grad)[0]
 
     return finite_difference_check(
-        net.params(), loss_fn, grad_fn,
+        net.params(), objective, lambda: objective(grad=True),
         h=h, max_per_param=max_per_param, seed=seed, tolerance=tolerance,
     )

@@ -12,15 +12,43 @@ import struct
 
 import numpy as np
 
-from ..errors import CacheError, ShapeError
+from ..errors import CacheError, ConfigError, ShapeError
 from .layers import Dense, Layer, Param, layer_from_spec
+from .losses import (
+    cross_entropy_grad,
+    cross_entropy_loss,
+    l2_displacement_grad,
+    l2_displacement_loss,
+    total_loss,
+)
 
 _MAGIC = b"TFNN"
 _VERSION = 1
 _FILE_HEADER = struct.Struct("<4sII")  # magic, version, json length
 
 
-class Network:
+class Module:
+    """Owner of named layers: names, lists and zeroes their parameters.
+
+    Each parameter is named ``<scope>.<own name>``, and :meth:`params` lists
+    them in scope order, which is also the checkpoint order.
+    """
+
+    def register(self, scopes: list[tuple[str, Layer]]) -> None:
+        self._scopes = scopes
+        for scope, layer in scopes:
+            for p in layer.params():
+                p.name = f"{scope}.{p.name.split('.')[-1]}"
+
+    def params(self) -> list[Param]:
+        return [p for _, layer in self._scopes for p in layer.params()]
+
+    def zero_grad(self) -> None:
+        for p in self.params():
+            p.grad[...] = 0.0
+
+
+class Network(Module):
     """Trunk layers feeding a 2-unit regression head and a 2-logit class head.
 
     Forward is deterministic given the parameters, the input, the dropout rng
@@ -35,20 +63,8 @@ class Network:
         self.cls_head = cls_head
         self.input_shape = tuple(input_shape)
         self.extra_header = dict(extra_header or {})
-        scopes = [(f"trunk.{i}.{layer.kind}", layer) for i, layer in enumerate(trunk)]
-        scopes += [("reg_head", reg_head), ("cls_head", cls_head)]
-        for scope, layer in scopes:
-            for p in layer.params():
-                p.name = f"{scope}.{p.name.split('.')[-1]}"
-
-    def params(self) -> list[Param]:
-        """Every parameter in checkpoint order: trunk, then the two heads."""
-        return [p for layer in (*self.trunk, self.reg_head, self.cls_head)
-                for p in layer.params()]
-
-    def zero_grad(self) -> None:
-        for p in self.params():
-            p.grad[...] = 0.0
+        self.register([(f"trunk.{i}.{layer.kind}", layer) for i, layer in enumerate(trunk)]
+                      + [("reg_head", reg_head), ("cls_head", cls_head)])
 
     def forward(self, x, training: bool = False, rng=None):
         """Returns (regression (N,2), class logits (N,2), cache).
@@ -84,6 +100,27 @@ class Network:
         for layer, ctx in zip(reversed(self.trunk), reversed(caches)):
             dh = layer.backward(dh, ctx)
         return dh
+
+    def loss(self, x, targets, labels, alpha: float, training: bool = False,
+             rng=None, grad: bool = False) -> tuple[float, float, float]:
+        """The training objective on one batch: (total, displacement, cross
+        entropy), with total = displacement + ``alpha`` * cross entropy.
+
+        A non-finite term raises :class:`ValidationError`. With ``grad`` the
+        parameters' gradients are zeroed and filled with d total / d param;
+        that needs a ``training`` forward, whose dropout draws from ``rng``.
+        """
+        if grad and not training:
+            raise ConfigError("gradients need a training-mode forward")
+        reg, logits, cache = self.forward(x, training=training, rng=rng)
+        regr = l2_displacement_loss(reg, targets)
+        ce = cross_entropy_loss(logits, labels)
+        total = total_loss(regr, ce, alpha)
+        if grad:
+            self.zero_grad()
+            self.backward(cache, l2_displacement_grad(reg, targets),
+                          alpha * cross_entropy_grad(logits, labels))
+        return total, regr, ce
 
     def get_state(self) -> list[np.ndarray]:
         return [p.value.copy() for p in self.params()]

@@ -11,12 +11,12 @@ from .layers import Param
 
 
 class Adam:
-    """Bias-corrected Adam; weight decay is applied directly to parameters
-    (not folded into the gradient) before each update.
+    """Bias-corrected Adam; weight decay, off by default, is applied directly
+    to parameters (not folded into the gradient) before each update.
     """
 
     def __init__(self, params: list[Param], lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 1e-5):
+                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.0):
         self.params = list(params)
         self.lr = lr
         self.beta1 = beta1

@@ -18,7 +18,6 @@ from .errors import ConfigError, DivergenceError, ValidationError
 from .features import (
     RAW,
     RP,
-    RecurrenceConfig,
     SensorWindow,
     WINDOW_WIDTH,
     magnitude_channels,
@@ -38,12 +37,7 @@ from .neuralcore import (
     Network,
     Relu,
     clip_gradient_norm,
-    cross_entropy_grad,
-    cross_entropy_loss,
-    l2_displacement_grad,
-    l2_displacement_loss,
     softmax,
-    total_loss,
 )
 
 log = logging.getLogger(__name__)
@@ -189,11 +183,10 @@ def build_model(cfg: PdrModelConfig) -> PdrModel:
     return PdrModel(cfg, net)
 
 
-def window_tensor(window: SensorWindow, cfg: PdrModelConfig,
-                  rp_config: RecurrenceConfig | None = None) -> np.ndarray:
+def window_tensor(window: SensorWindow, cfg: PdrModelConfig) -> np.ndarray:
     """Window data as the model input frame, converting to RP if configured."""
     if cfg.input_mode == RP and window.mode == RAW:
-        window = recurrence_matrix(window, rp_config)
+        window = recurrence_matrix(window)
     elif cfg.input_mode == RAW and window.mode != RAW:
         raise ValidationError("RAW model cannot consume an RP window")
     return np.asarray(window.data, dtype=np.float64)[None, :, :]
@@ -202,7 +195,6 @@ def window_tensor(window: SensorWindow, cfg: PdrModelConfig,
 def prepare_training_arrays(
     samples: list[PseudoLabeledSample],
     cfg: PdrModelConfig,
-    rp_config: RecurrenceConfig | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stack samples into (X, body-frame targets, activity labels).
 
@@ -212,32 +204,12 @@ def prepare_training_arrays(
     for s in samples:
         if s.window.yaw_center is None:
             raise ValidationError("training windows need yaw_center for frame alignment")
-        xs.append(window_tensor(s.window, cfg, rp_config))
+        xs.append(window_tensor(s.window, cfg))
         targets.append(rotate(s.delta, -s.window.yaw_center)[0])
         labels.append(1 if s.activity == WALKING else 0)
     if not xs:
         raise ValidationError("no training samples")
     return np.stack(xs), np.asarray(targets), np.asarray(labels, dtype=int)
-
-
-class EarlyStopper:
-    """Stop when the monitored loss has not improved for ``patience`` epochs."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best = np.inf
-        self.best_epoch = -1
-        self.stale = 0
-
-    def update(self, epoch: int, loss: float) -> bool:
-        """Record an epoch loss; returns True when training should stop."""
-        if loss < self.best - 1e-12:
-            self.best = loss
-            self.best_epoch = epoch
-            self.stale = 0
-        else:
-            self.stale += 1
-        return self.stale >= self.patience
 
 
 @dataclass
@@ -257,40 +229,33 @@ class TrainHistory:
                                  f"{r['ce']:.9g}"])
 
 
-def _batch_losses(model: PdrModel, x, targets, labels, cfg) -> tuple[float, float, float]:
-    reg, logits, _ = model.net.forward(x, training=False)
-    regr = l2_displacement_loss(reg, targets)
-    ce = cross_entropy_loss(logits, labels)
-    return total_loss(regr, ce, cfg.alpha), regr, ce
-
-
 def train_pdr(
     model: PdrModel,
     train_samples: list[PseudoLabeledSample],
     val_samples: list[PseudoLabeledSample],
     cfg: PdrModelConfig | None = None,
-    rp_config: RecurrenceConfig | None = None,
 ) -> tuple[PdrModel, TrainHistory]:
-    """Train with Adam, at its default learning rate, on shuffled mini-batches,
-    keeping the best checkpoint.
+    """Minimise ``Network.loss`` with Adam, at its default learning rate, on
+    shuffled mini-batches, keeping the best checkpoint.
 
     Stops when the validation loss has not improved for ``patience`` epochs
     or at ``max_epochs``. The reported train loss is the running mean of
-    mini-batch losses; validation metrics use a dropout-free pass. On a
-    non-finite loss training aborts and the last best checkpoint is restored.
-    Fully reproducible for a fixed ``rng_seed``.
+    mini-batch losses; validation metrics use a dropout-free pass. A
+    non-finite loss term (a ``nan`` in a window, say) is bad input and raises
+    :class:`ValidationError`. A non-finite gradient, which ``Adam.step``
+    reports as :class:`DivergenceError`, ends training: ``history.diverged``
+    is set and the best epoch's weights are restored. Fully reproducible for
+    a fixed ``rng_seed``.
     """
     cfg = cfg or model.cfg
     if not train_samples or not val_samples:
         raise ValidationError("train and validation sets must be non-empty")
-    x_train, t_train, l_train = prepare_training_arrays(train_samples, cfg, rp_config)
-    x_val, t_val, l_val = prepare_training_arrays(val_samples, cfg, rp_config)
+    x_train, t_train, l_train = prepare_training_arrays(train_samples, cfg)
+    x_val, t_val, l_val = prepare_training_arrays(val_samples, cfg)
 
-    params = model.net.params()
     lstm_params = [p for layer in model.net.trunk if isinstance(layer, Bilstm)
                    for p in layer.params()]
-    adam = Adam(params, weight_decay=cfg.weight_decay)
-    stopper = EarlyStopper(cfg.patience)
+    adam = Adam(model.net.params(), weight_decay=cfg.weight_decay)
     history = TrainHistory()
     best_state = model.net.get_state()
     n = len(x_train)
@@ -302,20 +267,10 @@ def train_pdr(
         try:
             for start in range(0, n, cfg.batch_size):
                 idx = order[start:start + cfg.batch_size]
-                xb, tb, lb = x_train[idx], t_train[idx], l_train[idx]
                 rng = np.random.default_rng((cfg.rng_seed, 2, step))
-                reg, logits, cache = model.net.forward(xb, training=True, rng=rng)
-                regr = l2_displacement_loss(reg, tb)
-                ce = cross_entropy_loss(logits, lb)
-                loss = total_loss(regr, ce, cfg.alpha)
-                if not np.isfinite(loss):
-                    raise DivergenceError(f"non-finite loss at step {step}")
+                loss, _, _ = model.net.loss(x_train[idx], t_train[idx], l_train[idx],
+                                            cfg.alpha, training=True, rng=rng, grad=True)
                 batch_losses.append(loss)
-                model.net.zero_grad()
-                dreg = l2_displacement_grad(reg, tb)
-                dlogits = cfg.alpha * cross_entropy_grad(logits, lb)
-                model.net.backward(cache, dreg, dlogits)
-                del cache  # the layer caches go before the next forward builds its own
                 if lstm_params:
                     clip_gradient_norm(lstm_params, LSTM_GRAD_CLIP)
                 adam.step()
@@ -325,7 +280,7 @@ def train_pdr(
             history.diverged = True
             break
         train_loss = float(np.mean(batch_losses))
-        val_loss, val_regr, val_ce = _batch_losses(model, x_val, t_val, l_val, cfg)
+        val_loss, val_regr, val_ce = model.net.loss(x_val, t_val, l_val, cfg.alpha)
         history.rows.append({
             "epoch": epoch, "train_loss": train_loss, "val_loss": val_loss,
             "regr": val_regr, "ce": val_ce,
@@ -334,7 +289,7 @@ def train_pdr(
             history.best_val = val_loss
             history.best_epoch = epoch
             best_state = model.net.get_state()
-        if stopper.update(epoch, val_loss):
+        if epoch - history.best_epoch >= cfg.patience:  # epochs without improvement
             break
 
     model.net.set_state(best_state)
@@ -345,8 +300,6 @@ def predict_displacements(
     model: PdrModel,
     stream: SensorStream,
     stride: int = INFER_STRIDE,
-    rp_config: RecurrenceConfig | None = None,
-    source_track: str = "",
 ) -> list[DisplacementPrediction]:
     """Per-window world-frame displacement predictions.
 
@@ -358,11 +311,10 @@ def predict_displacements(
     stream = ensure_yaw(stream)
     if not stream.has_channel("acce_mag"):
         stream = magnitude_channels(stream)
-    windows = make_windows(stream, width=WINDOW_WIDTH, stride=stride,
-                           source_track=source_track)
+    windows = make_windows(stream, width=WINDOW_WIDTH, stride=stride)
     if not windows:
         return []
-    xs = np.stack([window_tensor(w, model.cfg, rp_config) for w in windows])
+    xs = np.stack([window_tensor(w, model.cfg) for w in windows])
     scale = stride / WINDOW_WIDTH
     out: list[DisplacementPrediction] = []
     for start in range(0, len(xs), 256):

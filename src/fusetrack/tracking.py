@@ -122,13 +122,15 @@ class FusedTrack:
         return self.floor[idx]
 
     def to_csv(self, path) -> None:
+        """Write every value in full (``repr``), so :meth:`from_csv` gives
+        this track back bit for bit."""
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "x", "y", "floor", "ptrace"])
             for i in range(len(self.t)):
                 writer.writerow([
-                    f"{self.t[i]:.9g}", f"{self.x[i]:.9g}", f"{self.y[i]:.9g}",
-                    int(self.floor[i]), f"{self.ptrace[i]:.9g}",
+                    repr(float(self.t[i])), repr(float(self.x[i])), repr(float(self.y[i])),
+                    int(self.floor[i]), repr(float(self.ptrace[i])),
                 ])
 
     @classmethod

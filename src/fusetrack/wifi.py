@@ -28,7 +28,7 @@ from .labels import TrackTrajectory
 from .neuralcore import (
     Adam,
     Dense,
-    Param,
+    Module,
     Relu,
     finite_difference_check,
     l2_displacement_grad,
@@ -227,18 +227,17 @@ class VaeConfig:
     decoder_width: int = 64
     beta_recon: float = 1.0
     beta_kl: float = 0.1
-    lr: float = 1e-3
     epochs: int = 300
     rng_seed: int = 0
 
     def __post_init__(self):
         if self.latent_dim < 2:
             raise ConfigError(f"latent_dim must be >= 2, got {self.latent_dim}")
-        if self.epochs < 1 or self.lr <= 0:
-            raise ConfigError("epochs >= 1 and lr > 0 required")
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
 
 
-class WifiVae:
+class WifiVae(Module):
     """Gaussian-latent autoencoder with a position regression head on mu.
 
     The encoder maps normalized RSS to (mu, log variance); a reparameterized
@@ -247,9 +246,6 @@ class WifiVae:
     at inference) and is trained with the mean-Euclidean displacement loss on
     labeled fingerprints only.
     """
-
-    #: the layers with parameters, in the order params() lists them
-    _LAYERS = ("enc_hidden", "enc_mu", "enc_logvar", "dec_hidden", "dec_out", "reg_head")
 
     def __init__(self, n_aps: int, cfg: VaeConfig):
         self.n_aps = n_aps
@@ -263,9 +259,8 @@ class WifiVae:
         self.reg_head = Dense(cfg.latent_dim, 2, rng)
         self._relu_e = Relu()
         self._relu_d = Relu()
-        for name in self._LAYERS:
-            for p in getattr(self, name).params():
-                p.name = f"{name}.{p.name.split('.')[-1]}"
+        self.register([(name, getattr(self, name)) for name in (
+            "enc_hidden", "enc_mu", "enc_logvar", "dec_hidden", "dec_out", "reg_head")])
         self.sigma_cal: float = float("nan")  # validation RMSE, set by training
         # the regression head works in standardized coordinates; training
         # fits these from the labeled positions
@@ -277,13 +272,6 @@ class WifiVae:
 
     def denormalize_targets(self, normalized: np.ndarray) -> np.ndarray:
         return normalized * self.pos_scale + self.pos_mean
-
-    def params(self) -> list[Param]:
-        return [p for name in self._LAYERS for p in getattr(self, name).params()]
-
-    def zero_grad(self) -> None:
-        for p in self.params():
-            p.grad[...] = 0.0
 
     def encode(self, x_unit: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
         h_pre, ctx_h = self.enc_hidden.forward(x_unit)
@@ -400,7 +388,7 @@ def train_vae(radiomap: RadioMap, cfg: VaeConfig | None = None) -> WifiVae:
         train_mask = labeled_mask
         val_idx = labeled_idx
 
-    adam = Adam(model.params(), lr=cfg.lr, weight_decay=0.0)
+    adam = Adam(model.params())
     for epoch in range(cfg.epochs):
         noise = np.random.default_rng((cfg.rng_seed, 3, epoch)).standard_normal(
             (x_unit.shape[0], cfg.latent_dim))

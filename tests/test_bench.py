@@ -2,12 +2,16 @@
 analytic expectations so it can serve as the oracle for end-to-end runs."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusetrack.bench import (
     AccessPoint,
+    NoiseSpec,
     SimScenario,
     Waypoint,
     evaluate_track,
@@ -135,6 +139,46 @@ class TestSimulator:
         scenario = square_scenario(seed=9)
         again = SimScenario.from_dict(scenario.to_dict())
         assert simulate_track(again).logfile == simulate_track(scenario).logfile
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_scenario_dict_roundtrip_is_an_identity(self, data):
+        num = st.floats(-1e6, 1e6, allow_nan=False)
+        pos = st.floats(1e-3, 1e3, allow_nan=False)
+        floor = st.integers(-3, 10)
+        waypoints = data.draw(st.lists(st.builds(Waypoint, num, num, floor, pos),
+                                       min_size=1, max_size=6).filter(
+            lambda ws: all((a.x, a.y, a.floor) != (b.x, b.y, b.floor)
+                           for a, b in zip(ws, ws[1:]))))
+        scenario = SimScenario(
+            waypoints=waypoints,
+            speed=data.draw(pos), step_frequency=data.draw(pos),
+            ap_layout=data.draw(st.lists(st.builds(AccessPoint, num, num, floor, num),
+                                         max_size=4)),
+            noise=NoiseSpec(*(data.draw(pos) for _ in NoiseSpec.__dataclass_fields__)),
+            rng_seed=data.draw(st.integers(0, 2**32)), rate=data.draw(pos),
+            wifi_period=data.draw(pos),
+        )
+        assert SimScenario.from_dict(scenario.to_dict()) == scenario
+        assert SimScenario.from_dict(json.loads(json.dumps(scenario.to_dict()))) == scenario
+
+    @pytest.mark.parametrize("d", [
+        {"waypoints": [[0, 0], [5, 0]], "tail_s": 30.0},
+        {"waypoints": [[0, 0], [5, 0]], "noise": {"yaw_drift": 0.1}},
+        {"waypoints": [[0, 0], [5, 0, 0, 1, 2]]},
+        {"waypoints": [[0, 0], [5, 0]], "ap_layout": [[1, 1], ["a", 2]]},
+        {"waypoints": [[0, 0], [5, 0]], "speed": "2"},
+        {"waypoints": [[0, 0], [5, 0]], "rate": 0},
+        {"waypoints": [[0, 0], [5, 0]], "wifi_period": -1.0},
+        {"waypoints": [[0, 0], [5, 0]], "rng_seed": 1.5},
+        {"waypoints": [[0, 0], [5, 0]], "noise": {"rss": -1.0}},
+        {"waypoints": {"x": 0}},
+        {"speed": 1.0},
+        [[0, 0], [5, 0]],
+    ])
+    def test_malformed_scenario_rejected(self, d):
+        with pytest.raises(ConfigError):
+            SimScenario.from_dict(d)
 
     def test_truth_csv_roundtrip(self, tmp_path):
         result = simulate_track(square_scenario())

@@ -321,6 +321,33 @@ class TestNetwork:
             s = layer.out_shape(s)
         return Network(trunk, Dense(s[0], 2, rng), Dense(s[0], 2, rng), shape)
 
+    def test_param_names_of_the_s1_network_and_the_wifi_vae(self):
+        from fusetrack.pdr import PdrModelConfig, build_model
+        from fusetrack.wifi import VaeConfig, WifiVae
+
+        heads = ["reg_head.w", "reg_head.b", "cls_head.w", "cls_head.b"]
+        assert [p.name for p in build_model(PdrModelConfig()).net.params()] == [
+            "trunk.0.conv2d.w", "trunk.0.conv2d.b", "trunk.3.conv2d.w",
+            "trunk.3.conv2d.b", "trunk.6.conv2d.w", "trunk.6.conv2d.b",
+            "trunk.11.dense.w", "trunk.11.dense.b", *heads]
+        assert [p.name for p in WifiVae(5, VaeConfig()).params()] == [
+            f"{layer}.{w}" for layer in ("enc_hidden", "enc_mu", "enc_logvar",
+                                         "dec_hidden", "dec_out", "reg_head")
+            for w in "wb"]
+
+    def test_loss_gradient_replaces_the_previous_one(self):
+        net = self.build()
+        rng = np.random.default_rng(2)
+        x, targets, labels = rng.normal(0, 1, (3, 1, 12, 50)), rng.normal(0, 1, (3, 2)), [0, 1, 1]
+        net.loss(x, targets, labels, 1.0, training=True, grad=True)
+        first = [p.grad.copy() for p in net.params()]
+        total, regr, ce = net.loss(x, targets, labels, 1.0, training=True, grad=True)
+        for p, g in zip(net.params(), first):
+            np.testing.assert_array_equal(p.grad, g)
+        assert total == total_loss(regr, ce, 1.0)
+        with pytest.raises(ConfigError):
+            net.loss(x, targets, labels, 1.0, grad=True)
+
     def test_forward_deterministic(self):
         net = self.build()
         x = np.random.default_rng(1).normal(0, 1, (2, 1, 12, 50))

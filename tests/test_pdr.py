@@ -7,9 +7,9 @@ from fusetrack.errors import ConfigError, ValidationError
 from fusetrack.features import RAW, RP, SensorWindow, magnitude_channels
 from fusetrack.ingest import SensorStream
 from fusetrack.labels import WALKING, PseudoLabeledSample
+from fusetrack.neuralcore import Adam, Network
 from fusetrack.pdr import (
     CLASSIC_STRIDE_M,
-    EarlyStopper,
     PdrModel,
     PdrModelConfig,
     build_model,
@@ -111,23 +111,38 @@ class TestRotate:
         np.testing.assert_allclose(out, v, atol=1e-12)
 
 
-class TestEarlyStopper:
-    def test_stops_after_patience_epochs_without_improvement(self):
-        stopper = EarlyStopper(patience=50)
-        stopped_at = None
-        losses = [1.0, 0.9, 0.8] + [0.8] * 100  # plateau starts at epoch 2
-        for epoch, loss in enumerate(losses):
-            if stopper.update(epoch, loss):
-                stopped_at = epoch
-                break
-        assert stopped_at == 2 + 50
-        assert stopper.best_epoch == 2
+def train_on_scripted_val_losses(monkeypatch, val_losses, **cfg_kw):
+    """Train for real, but let the validation pass report ``val_losses``."""
+    scripted = iter(val_losses)
+    real_loss = Network.loss
 
-    def test_improvement_resets_counter(self):
-        stopper = EarlyStopper(patience=3)
-        seq = [1.0, 1.0, 1.0, 0.5, 1.0, 1.0, 1.0]
-        flags = [stopper.update(i, l) for i, l in enumerate(seq)]
-        assert flags == [False, False, False, False, False, False, True]
+    def loss(self, x, targets, labels, alpha, training=False, **kw):
+        if training:
+            return real_loss(self, x, targets, labels, alpha, training=training, **kw)
+        v = next(scripted)
+        return v, v, 0.0
+
+    monkeypatch.setattr(Network, "loss", loss)
+    rng = np.random.default_rng(6)
+    samples = [make_sample(rng, delta=rng.normal(0, 1, 2)) for _ in range(4)]
+    cfg = fast_cfg(batch_size=4, **cfg_kw)
+    return train_pdr(build_model(cfg), samples, samples, cfg)[1]
+
+
+class TestEarlyStopping:
+    def test_stops_patience_epochs_after_the_last_improvement(self, monkeypatch):
+        losses = [1.0, 0.9, 0.8] + [0.8] * 100  # plateau starts at epoch 2
+        history = train_on_scripted_val_losses(monkeypatch, losses, patience=5,
+                                               max_epochs=100)
+        assert history.best_epoch == 2
+        assert [r["epoch"] for r in history.rows] == list(range(2 + 5 + 1))
+
+    def test_improvement_resets_the_count(self, monkeypatch):
+        losses = [1.0, 1.0, 1.0, 0.5, 1.0, 1.0, 1.0, 1.0]
+        history = train_on_scripted_val_losses(monkeypatch, losses, patience=3,
+                                               max_epochs=8)
+        assert history.best_epoch == 3
+        assert len(history.rows) == 3 + 3 + 1
 
 
 class TestTrainPdr:
@@ -166,6 +181,34 @@ class TestTrainPdr:
         cfg = fast_cfg(max_epochs=6)
         model, history = train_pdr(build_model(cfg), train, val, cfg)
         assert history.best_val <= min(r["val_loss"] for r in history.rows) + 1e-12
+
+    def test_nan_in_a_training_window_is_bad_input(self):
+        rng = np.random.default_rng(9)
+        samples = [make_sample(rng, delta=rng.normal(0, 1, 2)) for _ in range(8)]
+        samples[3].window.data[5, 10] = np.nan
+        cfg = fast_cfg(max_epochs=2)
+        with pytest.raises(ValidationError, match="finite"):
+            train_pdr(build_model(cfg), samples, samples[4:], cfg)
+
+    def test_divergence_restores_the_best_epoch(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        samples = [make_sample(rng, delta=rng.normal(0, 1, 2)) for _ in range(12)]
+        cfg = fast_cfg(batch_size=4, max_epochs=5)  # 3 steps an epoch
+        after_first_epoch, _ = train_pdr(build_model(cfg), samples, samples,
+                                         fast_cfg(batch_size=4, max_epochs=1))
+        real_step = Adam.step
+
+        def step(self):
+            if self.step_count == 4:  # the second update of the second epoch
+                self.params[0].grad[0] = np.inf
+            real_step(self)
+
+        monkeypatch.setattr(Adam, "step", step)
+        model, history = train_pdr(build_model(cfg), samples, samples, cfg)
+        assert history.diverged
+        assert history.best_epoch == 0 and len(history.rows) == 1
+        for p, q in zip(model.net.params(), after_first_epoch.net.params()):
+            np.testing.assert_array_equal(p.value, q.value)
 
     def test_empty_sets_rejected(self):
         cfg = fast_cfg()

@@ -95,7 +95,7 @@ class TestPipeline:
         model = PdrModel.load(ablated["model_checkpoint"])
         records, _, _ = parse_logfile(mini_tracks["test_logs"][0])
         stream = magnitude_channels(ensure_yaw(resample_stream(records)))
-        preds = predict_displacements(model, stream, source_track="test0")
+        preds = predict_displacements(model, stream)
         from fusetrack.bench.simulate import read_truth_csv
 
         truth = read_truth_csv(mini_tracks["truth_files"][0])
@@ -114,7 +114,7 @@ class TestPipeline:
         model = PdrModel.load(ablated["model_checkpoint"])
         records, scans, _ = parse_logfile(mini_tracks["test_logs"][0])
         stream = magnitude_channels(ensure_yaw(resample_stream(records)))
-        preds = predict_displacements(model, stream, source_track="test0")
+        preds = predict_displacements(model, stream)
         rmap = RadioMap.from_csv(Path(cfg["out_dir"]) / "radiomap.csv")
         fixes = []
         for scan in scans:
@@ -233,6 +233,27 @@ class TestCli:
                          "--magnitudes"]) == 0
         header = csv_out.read_text().splitlines()[0]
         assert header.startswith("t,acce_x")
+
+    @pytest.mark.parametrize("scenario, named", [
+        ({"waypoints": [[0, 0, 0, 1], [5, 0, 0, 1]], "sped": 2.0}, "sped"),
+        ({"waypoints": [[0, 0, 0, 1], [5, 0, 0, 1]], "noise": {"acc": 0.1}}, "acc"),
+        ({"waypoints": [[0, 0, 0, 1], [5]]}, "waypoints[1]"),
+    ], ids=["unknown_key", "unknown_noise_key", "short_waypoint"])
+    def test_simulate_rejects_a_malformed_scenario(self, tmp_path, capsys, scenario, named):
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(scenario), encoding="utf-8")
+        log = tmp_path / "track.log"
+        assert cli.main(["simulate", "--scenario", str(scenario_path),
+                         "--out", str(log)]) == 2
+        assert named in capsys.readouterr().err
+        assert not log.exists()
+
+    def test_simulate_rejects_invalid_json(self, tmp_path, capsys):
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text('{"waypoints": [[0, 0], [5, 0]],', encoding="utf-8")
+        assert cli.main(["simulate", "--scenario", str(scenario_path),
+                         "--out", str(tmp_path / "track.log")]) == 2
+        assert "invalid scenario JSON" in capsys.readouterr().err
 
     def test_simulate_seed_override_changes_output(self, tmp_path):
         scenario_path = tmp_path / "scenario.json"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusetrack.errors import CannotInitializeError, IndexEmptyError
 from fusetrack.ingest import Landmark
@@ -182,6 +184,23 @@ class TestFuseTrack:
         np.testing.assert_allclose(loaded.t, track.t, atol=1e-9)
         np.testing.assert_allclose(loaded.x, track.x, atol=1e-6)
         np.testing.assert_array_equal(loaded.floor, track.floor)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_csv_roundtrip_is_bitwise(tmp_path_factory, data):
+    n = data.draw(st.integers(1, 6))
+    column = st.lists(st.floats(allow_nan=False), min_size=n, max_size=n).map(np.array)
+    track = FusedTrack(t=data.draw(column), x=data.draw(column), y=data.draw(column),
+                       floor=np.array(data.draw(st.lists(st.integers(-5, 50),
+                                                         min_size=n, max_size=n))),
+                       ptrace=data.draw(column))
+    path = tmp_path_factory.mktemp("csv") / "fused.csv"
+    track.to_csv(path)
+    loaded = FusedTrack.from_csv(path)
+    for name in ("t", "x", "y", "ptrace"):
+        assert getattr(loaded, name).tobytes() == getattr(track, name).tobytes()
+    np.testing.assert_array_equal(loaded.floor, track.floor)
 
 
 def index_of(points, n_neighbors=5):

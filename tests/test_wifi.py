@@ -235,7 +235,7 @@ class TestVae:
                             for f in rmap.fingerprints])
         from fusetrack.neuralcore import Adam
 
-        adam = Adam(model.params(), lr=cfg.lr, weight_decay=0.0)
+        adam = Adam(model.params())
         losses = []
         for epoch in range(10):
             noise = np.random.default_rng((0, epoch)).standard_normal(
